@@ -14,13 +14,13 @@ from .defense import (
     plan_ohsdp,
     plan_susdp,
     randomize_all,
-    randomize_user,
 )
 from .errors import (
     DomainError,
     ParameterError,
     ProtocolError,
     ShapeError,
+    ShuffleguardError,
     StructureError,
 )
 from .harness import (
@@ -48,9 +48,9 @@ __version__ = "0.1.0"
 __all__ = [
     "DetectionReport", "TreePlan", "Variant", "analyze", "group_of",
     "make_plan", "plan_base", "plan_bsdp", "plan_hsdp", "plan_ohsdp",
-    "plan_susdp", "randomize_all", "randomize_user",
+    "plan_susdp", "randomize_all",
     "DomainError", "ParameterError", "ProtocolError", "ShapeError",
-    "StructureError",
+    "ShuffleguardError", "StructureError",
     "ExperimentConfig", "Summary", "TrialResult", "run_experiment",
     "run_trial", "sweep",
     "dlap_threshold", "nb_sample",

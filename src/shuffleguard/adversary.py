@@ -66,7 +66,6 @@ class Impersonate:
     """Try to inject messages into a group the attacker is not a member of,
     using a guessed token (rejected by the shuffler with near certainty)."""
 
-    victim: tuple[int, int]
     msgs: int = 1
 
 

@@ -16,14 +16,16 @@ import json
 import sys
 from dataclasses import fields
 
-from .errors import ParameterError
+from .errors import ParameterError, ShuffleguardError
 from .harness import (
+    _METRIC_COLS,
     ExperimentConfig,
     emit,
     run_experiment,
     summary_row,
     sweep,
 )
+from .protocols import _DEFAULT_BASE
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -32,9 +34,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--protocol", choices=["base", "susdp", "bsdp", "hsdp", "ohsdp"]
     )
-    p.add_argument(
-        "--base", choices=["dlap-count", "splitmix-sum", "perbin-hist"]
-    )
+    p.add_argument("--base", choices=list(_DEFAULT_BASE.values()))
     p.add_argument("--n", type=int)
     p.add_argument("--u", type=int)
     p.add_argument("--eps", type=float)
@@ -104,11 +104,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def _print_summaries(summaries) -> None:
     rows = [summary_row(s) for s in summaries]
-    metric_cols = [
-        "abs_error", "rel_error_pct", "msgs_per_user",
-        "bits_per_msg", "detection_rate", "mean_wall_time_s",
-    ]
-    head = ["protocol", "query", "n", "lam", "k", "attack"] + metric_cols
+    head = ["protocol", "query", "n", "lam", "k", "attack", *_METRIC_COLS]
     print("\t".join(head))
     for row in rows:
         cells = []
@@ -130,12 +126,12 @@ def main(argv=None) -> int:
                 for v in args.values.split(",")
             ]
             summaries = sweep(config, args.axis, axis_values)
-    except (ParameterError, FileNotFoundError, KeyError) as exc:
+        if config.out:
+            emit(summaries, config.format, config.out)
+    except (ShuffleguardError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_summaries(summaries)
-    if config.out:
-        emit(summaries, config.format, config.out)
     return 0
 
 

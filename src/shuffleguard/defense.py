@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError, StructureError
 from .protocols import BaseProtocol, PrivacyBudget
-from .queries import Query, dis_to_range, value_norm, zero_value
+from .queries import Query, QueryKind, dis_to_range
 from .runtime import Envelope, TokenTable
 
 
@@ -274,19 +274,6 @@ def make_plan(
 # randomization
 
 
-def randomize_user(i, x, plan: TreePlan, tokens: TokenTable, rng) -> list[Envelope]:
-    """One user's envelopes: a base-protocol run per level, token-addressed."""
-    out = []
-    xs = np.asarray([x], dtype=np.int64)
-    for lp in plan.levels:
-        groups, _ = plan.base.randomize_level(
-            xs, lp.budget.epsilon, lp.group_size, rng, ng=1
-        )
-        tok = tokens.token(lp.r, plan.group_of(i, lp.r))
-        out.append(Envelope(tok.id, groups[0]))
-    return out
-
-
 def randomize_all(
     plan: TreePlan, xs: np.ndarray, tokens: TokenTable, rng, honest=None
 ) -> tuple[list[Envelope], int]:
@@ -312,7 +299,6 @@ def randomize_all(
 @dataclass
 class DetectionReport:
     flagged: list[tuple[int, int]]
-    recovered: list[tuple[int, int]]
 
     @property
     def attack_detected(self) -> bool:
@@ -320,65 +306,55 @@ class DetectionReport:
 
 
 def analyze(plan: TreePlan, shuffled: dict) -> tuple:
-    """Estimate, detect, and recover over the full tree.
+    """Estimate, detect, and recover over the full tree, a level at a time.
 
     ``shuffled`` maps each (level, group) node to its shuffled payload
-    multiset. Bottom groups are flagged when their estimate is farther from
-    the attainable output range than the level's noise threshold; upper
-    groups when they disagree with the sum of their children by more than
-    the combined thresholds, or when any child was flagged. Flagged bottom
-    cells recover to zero, flagged upper cells to the sum of their
-    children's recovered values. Returns (top value, DetectionReport).
+    multiset. A level's estimates form one int64 array of shape
+    ``(num_groups, bins)`` (``bins`` = 1 for count and sum). Bottom groups
+    are flagged when their estimate is farther from the attainable output
+    range than the level's noise threshold; upper groups when any child
+    was flagged or when max |estimate - sum of children| exceeds the
+    combined thresholds. Flagged bottom groups recover to zero, flagged
+    upper groups to the sum of their children's recovered values. The
+    published answer is the sum of the top level's recovered values (an
+    int for scalar queries, an int64 vector otherwise). Returns
+    (answer, DetectionReport), with flagged nodes bottom level first.
     """
+    nodes = plan.nodes()
+    missing = [node for node in nodes if node not in shuffled]
+    if missing:
+        raise StructureError(
+            f"missing shuffled multiset for node {missing[0]}"
+        )
     q = plan.query
-    est = {}
-    for node in plan.nodes():
-        if node not in shuffled:
-            raise StructureError(f"missing shuffled multiset for node {node}")
-        est[node] = plan.base.analyze(shuffled[node])
-
-    flagged: list[tuple[int, int]] = []
-    rec = {}
-    valid = {}
+    bins = q.num_bins
+    est = np.array(
+        [plan.base.analyze(shuffled[node]) for node in nodes], dtype=np.int64
+    ).reshape(len(nodes), bins)
+    sizes = [lp.num_groups for lp in plan.levels]
+    levels = np.split(est, np.cumsum(sizes)[:-1])
 
     bottom = plan.levels[0]
-    for g in range(1, bottom.num_groups + 1):
-        node = (bottom.r, g)
-        v = est[node]
-        ok = True
-        if plan.detects:
-            ok = dis_to_range(q, bottom.group_size, v) <= bottom.theta
-        valid[node] = ok
-        if ok:
-            rec[node] = v
-        else:
-            flagged.append(node)
-            rec[node] = zero_value(q)
-
-    for idx in range(1, len(plan.levels)):
-        lp = plan.levels[idx]
+    valid = np.ones(bottom.num_groups, dtype=bool)
+    if plan.detects:
+        valid = dis_to_range(q, bottom.group_size, levels[0]) <= bottom.theta
+    rec = np.where(valid[:, None], levels[0], 0)
+    valids = [valid]
+    for lp, level in zip(plan.levels[1:], levels[1:]):
         c = plan.num_children(lp.r)
-        bound = plan.pair_threshold(lp.r)
-        below = plan.levels[idx - 1].r
-        for g in range(1, lp.num_groups + 1):
-            node = (lp.r, g)
-            children = [(below, c * (g - 1) + j) for j in range(1, c + 1)]
-            child_sum = sum(rec[ch] for ch in children)
-            ok = all(valid[ch] for ch in children) and (
-                value_norm(q, est[node] - child_sum) <= bound
-            )
-            valid[node] = ok
-            if ok:
-                rec[node] = est[node]
-            else:
-                flagged.append(node)
-                rec[node] = child_sum
+        child_sum = rec.reshape(lp.num_groups, c, bins).sum(axis=1)
+        valid = valid.reshape(lp.num_groups, c).all(axis=1) & (
+            np.abs(level - child_sum).max(axis=1) <= plan.pair_threshold(lp.r)
+        )
+        rec = np.where(valid[:, None], level, child_sum)
+        valids.append(valid)
 
-    top = plan.levels[-1]
-    if top.group_size == plan.n and top.num_groups == 1:
-        out = rec[(top.r, 1)]
-    else:
-        # Flat single-level plans (susdp): publish the sum of the
-        # per-group recovered estimates.
-        out = sum(rec[(top.r, g)] for g in range(1, top.num_groups + 1))
-    return out, DetectionReport(flagged=flagged, recovered=list(flagged))
+    flagged = [
+        (lp.r, int(g) + 1)
+        for lp, ok in zip(plan.levels, valids)
+        for g in np.flatnonzero(~ok)
+    ]
+    out = rec.sum(axis=0)
+    if q.kind in (QueryKind.COUNT, QueryKind.SUM):
+        out = int(out[0])
+    return out, DetectionReport(flagged=flagged)

@@ -24,7 +24,9 @@ from .datasets import gen_dataset, load_csv
 from .defense import TreePlan, Variant, analyze, make_plan, randomize_all
 from .errors import ParameterError
 from .protocols import make_base
-from .queries import Dataset, Query, QueryKind, eval_query, value_norm
+from .queries import (
+    Dataset, Query, QueryKind, check_domain, eval_query, value_norm,
+)
 from .runtime import provision
 
 _KINDS = {
@@ -131,19 +133,22 @@ def trimmed_mean(values, frac: float = 0.1) -> float:
 
 def _pad_to(n: int, values: np.ndarray) -> np.ndarray:
     """Pad with neutral zero users so all tree shapes are well-formed."""
-    if values.size >= n:
-        return values[:n]
+    if values.size > n:
+        raise ParameterError(
+            f"dataset has {values.size} values, more than n={n}"
+        )
     return np.concatenate(
         [values, np.zeros(n - values.size, dtype=np.int64)]
     )
 
 
 def experiment_dataset(config: ExperimentConfig) -> Dataset:
+    q = config.make_query()
     if config.data is not None:
         ds = load_csv(config.data, config.col if config.col is not None else 0,
                       cap=config.cap if config.cap is not None else config.u)
+        check_domain(q, ds.values)
         return Dataset(_pad_to(config.n, ds.values))
-    q = config.make_query()
     return gen_dataset(config.dist, config.n, q.max_input, config.seed)
 
 
@@ -175,8 +180,7 @@ def make_strategy(config: ExperimentConfig, plan: TreePlan):
     if config.attack == "alter":
         return adv.AlterInput(forged=plan.query.max_input)
     if config.attack == "impersonate":
-        top = plan.levels[-1].r
-        return adv.Impersonate(victim=(top, 1), msgs=msgs)
+        return adv.Impersonate(msgs=msgs)
     raise ParameterError(f"unknown attack {config.attack!r}")
 
 

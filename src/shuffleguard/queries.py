@@ -129,12 +129,6 @@ def check_domain(q: Query, values: np.ndarray) -> None:
         )
 
 
-def zero_value(q: Query) -> QueryValue:
-    if q.kind in _SCALAR_KINDS:
-        return 0
-    return np.zeros(q.num_bins, dtype=np.int64)
-
-
 def eval_query(q: Query, d) -> QueryValue:
     """Exact (non-private) query answer."""
     values = _as_values(d)
@@ -159,19 +153,6 @@ def value_norm(q: Query, v: QueryValue) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def check_shape(q: Query, v: QueryValue) -> QueryValue:
-    if q.kind in _SCALAR_KINDS:
-        if isinstance(v, np.ndarray) and v.ndim > 0:
-            raise ShapeError(f"{q.kind.value} value must be scalar")
-        return int(v)
-    v = np.asarray(v, dtype=np.int64)
-    if v.shape != (q.num_bins,):
-        raise ShapeError(
-            f"{q.kind.value} value must have shape ({q.num_bins},), got {v.shape}"
-        )
-    return v
-
-
 def range_diameter(q: Query, n: int) -> float:
     """Diameter of the query's output set over all size-n datasets."""
     if n < 0:
@@ -182,44 +163,63 @@ def range_diameter(q: Query, n: int) -> float:
     return float(n)
 
 
-def _hist_dis(bins: np.ndarray, n: int) -> int:
-    """Smallest t such that some valid n-total histogram is within l_inf t.
+
+
+def _hist_dis(rows: np.ndarray, n: int) -> np.ndarray:
+    """Per row, the smallest t such that some valid n-total histogram is
+    within l_inf t of it.
 
     Feasibility of a given t is monotone: each coordinate may be clamped to
-    [max(0, b-t), b+t] (nonnegative), so t works iff the reachable totals
-    bracket n.
+    [max(0, b-t), b+t] (nonnegative), so t works iff every coordinate
+    admits a nonnegative value and the reachable totals bracket n. One
+    binary search runs over all rows at once.
     """
+    low = rows.min(axis=1)
 
-    def feasible(t: int) -> bool:
-        # Each coordinate must admit a nonnegative value within t at all.
-        if bins.size and int(bins.min()) + t < 0:
-            return False
-        lo = np.maximum(bins - t, 0).sum()
-        hi = np.maximum(bins + t, 0).sum()
-        return lo <= n <= hi
+    def feasible(t: np.ndarray) -> np.ndarray:
+        reach_lo = np.maximum(rows - t[:, None], 0).sum(axis=1)
+        reach_hi = np.maximum(rows + t[:, None], 0).sum(axis=1)
+        return (low + t >= 0) & (reach_lo <= n) & (n <= reach_hi)
 
-    if feasible(0):
-        return 0
-    hi = int(np.max(np.abs(bins))) + n + 1
-    lo_t, hi_t = 0, hi
-    while hi_t - lo_t > 1:
-        mid = (lo_t + hi_t) // 2
-        if feasible(mid):
-            hi_t = mid
-        else:
-            lo_t = mid
-    return hi_t
+    # Per row, hi is feasible and lo is either -1 or infeasible.
+    lo = np.full(rows.shape[0], -1, dtype=np.int64)
+    hi = np.abs(rows).max(axis=1) + n + 1
+    while (open_ := hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        ok = feasible(mid)
+        hi = np.where(open_ & ok, mid, hi)
+        lo = np.where(open_ & ~ok, mid, lo)
+    return hi
 
 
-def dis_to_range(q: Query, n: int, v: QueryValue) -> float:
-    """Distance from a value to the set of attainable size-n query outputs."""
-    v = check_shape(q, v)
+def dis_to_range(q: Query, n: int, v) -> float | np.ndarray:
+    """Distance from values to the set of attainable size-n query outputs.
+
+    ``v`` is one value (an int for count and sum, a ``(num_bins,)`` vector
+    otherwise), which gives one float, or a stack of values of shape
+    ``(rows, num_bins)``, with ``num_bins`` = 1 for count and sum, which
+    gives one float per row.
+    """
+    v = np.asarray(v, dtype=np.int64)
+    single = v.ndim == (0 if q.kind in _SCALAR_KINDS else 1)
+    rows = v.reshape(1, -1) if single else v
+    if rows.ndim != 2 or rows.shape[1] != q.num_bins:
+        raise ShapeError(
+            f"{q.kind.value} value must be one value or a stack of shape "
+            f"(rows, {q.num_bins}), got shape {v.shape}"
+        )
     if q.kind in _SCALAR_KINDS:
         top = n if q.kind is QueryKind.COUNT else n * q.domain_size
-        return float(max(0, -v, v - top))
-    if q.kind is QueryKind.HISTOGRAM:
-        return float(_hist_dis(v, n))
-    worst = 0
-    for offset, width, _ in q.tree_levels:
-        worst = max(worst, _hist_dis(v[offset : offset + width], n))
-    return float(worst)
+        dis = np.maximum(0, np.maximum(-rows[:, 0], rows[:, 0] - top))
+    elif q.kind is QueryKind.HISTOGRAM:
+        dis = _hist_dis(rows, n)
+    else:
+        dis = np.max(
+            [
+                _hist_dis(rows[:, offset : offset + width], n)
+                for offset, width, _ in q.tree_levels
+            ],
+            axis=0,
+        )
+    dis = dis.astype(float)
+    return float(dis[0]) if single else dis

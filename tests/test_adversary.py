@@ -135,7 +135,7 @@ class TestOtherStrategies:
         tokens = provision(plan, np.random.default_rng(0))
         inboxes = tokens.make_inboxes()
         envs = malicious_envelopes(
-            Impersonate(victim=(4, 1), msgs=10), 5, plan, tokens,
+            Impersonate(msgs=10), 5, plan, tokens,
             np.random.default_rng(1),
         )
         accepted = sum(

@@ -15,7 +15,6 @@ from shuffleguard.defense import (
     plan_ohsdp,
     plan_susdp,
     randomize_all,
-    randomize_user,
 )
 from shuffleguard.errors import ParameterError, StructureError
 from shuffleguard.harness import ExperimentConfig, run_trial
@@ -162,22 +161,30 @@ class TestGroupOf:
 
 
 class TestRandomizeUser:
+    """A user's envelopes, as randomize_all addresses them."""
+
     def test_two_level_addresses(self):
         plan = plan_hsdp(count_base(), 2, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
-        envs = randomize_user(1, 1, plan, tokens, np.random.default_rng(1))
+        envs, _ = randomize_all(
+            plan, np.ones(2, dtype=np.int64), tokens, np.random.default_rng(1)
+        )
         assert [e.token for e in envs] == [
             tokens.token(1, 1).id,
+            tokens.token(1, 2).id,
             tokens.token(2, 1).id,
         ]
 
     def test_noiseless_one_token_per_level(self):
         plan = plan_hsdp(count_base(), 8, INF, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
-        envs = randomize_user(3, 1, plan, tokens, np.random.default_rng(1))
-        assert len(envs) == 4
-        for e in envs:
-            np.testing.assert_array_equal(e.payloads, [1])
+        xs = np.zeros(8, dtype=np.int64)
+        xs[2] = 1  # user 3
+        envs, _ = randomize_all(plan, xs, tokens, np.random.default_rng(1))
+        by_token = {e.token: e.payloads for e in envs}
+        path = [(lp.r, plan.group_of(3, lp.r)) for lp in plan.levels]
+        for node in path:
+            np.testing.assert_array_equal(by_token[tokens.token(*node).id], [1])
 
 
 class TestAnalyze:
@@ -226,8 +233,7 @@ class TestAnalyze:
             analyze(plan, {})
 
     def test_recovery_identity(self):
-        # Every flagged non-bottom node's recovered value equals the sum of
-        # its children's recovered values exactly.
+        # Noiseless tree; a 50-token flood goes into bottom group (1,3).
         xs = np.asarray([1, 0, 1, 1, 0, 1, 1, 1], dtype=np.int64)
         plan = plan_hsdp(count_base(), 8, INF, 0.01, 0.1)
         rng = np.random.default_rng(2)
@@ -243,7 +249,6 @@ class TestAnalyze:
         # The flagged bottom group recovers to zero, so user 3's bit is lost.
         assert out == 5
         assert (1, 3) in report.flagged
-        assert report.recovered == report.flagged
 
 
 class TestEquivalenceAtFullWidth:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from shuffleguard.datasets import gen_dataset, load_csv
-from shuffleguard.errors import ParameterError
+from shuffleguard.errors import (
+    DomainError,
+    ParameterError,
+    ProtocolError,
+    ShapeError,
+    StructureError,
+)
 from shuffleguard.harness import (
     ExperimentConfig,
     auto_lambda,
@@ -216,3 +222,63 @@ class TestCli:
         conf = tmp_path / "c.json"
         conf.write_text(json.dumps({"bogus": 1}))
         assert main(["run", "--config", str(conf)]) == 2
+
+    def test_range_accepts_tree_hist_base(self, capsys):
+        from shuffleguard.cli import main
+
+        rc = main([
+            "run", "--query", "range", "--u", "3", "--base", "tree-hist",
+            "--protocol", "ohsdp", "--n", "16", "--lambda", "4",
+            "--trials", "2",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("ohsdp\trange")
+
+    def test_out_of_domain_data_rejected_before_trials(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from shuffleguard import harness
+        from shuffleguard.cli import main
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran on out-of-domain data")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        data = tmp_path / "d.csv"
+        data.write_text("0\n1\n5\n")
+        rc = main([
+            "run", "--query", "count", "--u", "5", "--data", str(data),
+            "--n", "16", "--trials", "2",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: value 5 at index 2")
+        assert len(err.splitlines()) == 1
+
+    def test_data_longer_than_n_rejected(self, tmp_path, capsys):
+        from shuffleguard.cli import main
+
+        data = tmp_path / "d.csv"
+        data.write_text("1\n" * 40)
+        rc = main([
+            "run", "--query", "count", "--data", str(data), "--n", "16",
+            "--trials", "2",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "40 values, more than n=16" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "error",
+        [DomainError, ParameterError, ProtocolError, ShapeError, StructureError],
+    )
+    def test_every_library_error_is_one_line(self, error, capsys, monkeypatch):
+        from shuffleguard import cli
+
+        def fail(config):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        assert cli.main(["run", "--n", "16", "--trials", "1"]) == 2
+        assert capsys.readouterr().err == "error: boom\n"

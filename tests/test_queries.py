@@ -16,7 +16,6 @@ from shuffleguard.queries import (
     eval_query,
     range_diameter,
     value_norm,
-    zero_value,
 )
 
 COUNT = Query(QueryKind.COUNT)
@@ -137,13 +136,20 @@ class TestDisToRange:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             dis_to_range(hist(2), 2, np.asarray([1, 2]))
+        with pytest.raises(ShapeError):
+            dis_to_range(hist(2), 2, np.zeros((4, 2), dtype=np.int64))
 
     def test_zero_on_every_dataset(self):
         rng = np.random.default_rng(1)
+        stack_rng = np.random.default_rng(2)
         for q in (COUNT, sum_q(4), hist(4), tree(4)):
             for n in (0, 1, 5, 20):
                 d = rng.integers(0, q.max_input + 1, size=n)
                 assert dis_to_range(q, n, eval_query(q, d)) == 0
+            # The answers of six size-5 datasets as one stack, one per row.
+            datasets = stack_rng.integers(0, q.max_input + 1, size=(6, 5))
+            stack = np.asarray([np.reshape(eval_query(q, d), -1) for d in datasets])
+            np.testing.assert_array_equal(dis_to_range(q, 5, stack), 0)
 
     @pytest.mark.parametrize("u", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -154,13 +160,12 @@ class TestDisToRange:
             for vals in itertools.combinations_with_replacement(range(u + 1), n)
         ]
         rng = np.random.default_rng(n * 10 + u)
-        for _ in range(25):
-            v = rng.integers(-3, n + 3, size=u + 1)
+        rows = [rng.integers(-3, n + 3, size=u + 1) for _ in range(25)]
+        oracles = []
+        for v in rows:
             oracle = min(
                 np.max(np.abs(v - y)) for y in attainable
             )
             assert dis_to_range(q, n, v) == oracle
-
-    def test_scalar_value_shape(self):
-        assert zero_value(COUNT) == 0
-        assert zero_value(hist(2)).shape == (3,)
+            oracles.append(oracle)
+        np.testing.assert_array_equal(dis_to_range(q, n, rows), oracles)
