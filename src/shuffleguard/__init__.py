@@ -6,7 +6,6 @@ from .defense import (
     TreePlan,
     Variant,
     analyze,
-    group_of,
     make_plan,
     plan_base,
     plan_bsdp,
@@ -46,9 +45,9 @@ from .runtime import Envelope, ShufflerInbox, provision
 __version__ = "0.1.0"
 
 __all__ = [
-    "DetectionReport", "TreePlan", "Variant", "analyze", "group_of",
-    "make_plan", "plan_base", "plan_bsdp", "plan_hsdp", "plan_ohsdp",
-    "plan_susdp", "randomize_all",
+    "DetectionReport", "TreePlan", "Variant", "analyze", "make_plan",
+    "plan_base", "plan_bsdp", "plan_hsdp", "plan_ohsdp", "plan_susdp",
+    "randomize_all",
     "DomainError", "ParameterError", "ProtocolError", "ShapeError",
     "ShuffleguardError", "StructureError",
     "ExperimentConfig", "Summary", "TrialResult", "run_experiment",

@@ -111,13 +111,6 @@ class TreePlan:
         return max(1, math.ceil(math.log2(self.num_shufflers)))
 
 
-def group_of(i: int, r: int, lam: int = 1) -> int:
-    """1-based group of user i at level r when bottom groups have size lam."""
-    if i < 1 or r < 1 or lam < 1:
-        raise ParameterError("indices must be positive")
-    return (i - 1) // (lam * (1 << (r - 1))) + 1
-
-
 def _level(r, size, n, eps, delta, beta, base) -> LevelPlan:
     return LevelPlan(
         r=r,

@@ -2,8 +2,9 @@
 
 A trial is fully determined by (config, seed, trial index): the dataset is
 derived from the seed alone (shared by all trials of an experiment), while
-provisioning, honest noise, adversary choices, and shuffling each draw
-from independent per-trial streams. Reported metrics follow the usual
+provisioning, honest noise, and adversary choices each draw from
+independent per-trial streams; shufflers release their multisets
+unpermuted and draw nothing. Reported metrics follow the usual
 robust-benchmark conventions: per-metric trimmed means over T trials
 (dropping the top and bottom 10%) plus the raw detection rate.
 """
@@ -200,8 +201,8 @@ def run_trial(
     xs = dataset.values
 
     ss = np.random.SeedSequence((config.seed, trial_index))
-    rng_prov, rng_honest, rng_adv, rng_shuffle = (
-        np.random.default_rng(s) for s in ss.spawn(4)
+    rng_prov, rng_honest, rng_adv = (
+        np.random.default_rng(s) for s in ss.spawn(3)
     )
 
     tokens = provision(plan, rng_prov)
@@ -234,9 +235,7 @@ def run_trial(
         else:
             inbox.submit(e)
 
-    shuffled = {
-        node: inbox.shuffle(rng_shuffle) for node, inbox in inboxes.items()
-    }
+    shuffled = {node: inbox.shuffle() for node, inbox in inboxes.items()}
     estimate, report = analyze(plan, shuffled)
 
     truth = eval_query(q, xs)

@@ -17,6 +17,12 @@ below draw each group's honest noise total in one shot as NB(h/m, p),
 where h is the number of honest contributors; this is distributionally
 identical to h independent per-user draws.
 
+Every analyzer is a symmetric fold over the multiset a shuffler releases
+(a signed sum, a sum mod q, or a per-bin tally), so message order carries
+nothing. The token randomizers (count, hist, tree) therefore build each
+group's code counts, data tokens included, and emit one payload per group
+listed by code through ``_emit_codes``.
+
 The matching ``error_bound`` is the exact DLap tail quantile and doubles as
 the defense layer's detection threshold.
 """
@@ -53,11 +59,22 @@ class PrivacyBudget:
             raise ParameterError("beta must be in (0, 1)")
 
 
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(a.size + b.size, dtype=np.int64)
-    out[0::2] = a
-    out[1::2] = b
-    return out
+def _emit_codes(counts: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """Per-group payloads from a ``(groups, 2*bins)`` matrix of code counts.
+
+    Columns count the codes ``1..bins`` and then ``-1..-bins``; each
+    group's payload lists its codes in that column order. The counts are
+    trusted to be non-negative and the codes in domain: honest inputs are
+    checked at ingress, before any randomization, so nothing is checked
+    here. Returns one payload array per group plus the total message count.
+    """
+    ng, width = counts.shape
+    codes = np.arange(1, width // 2 + 1, dtype=np.int64)
+    payloads = np.repeat(
+        np.tile(np.concatenate([codes, -codes]), ng), counts.reshape(-1)
+    )
+    groups = np.split(payloads, np.cumsum(counts.sum(axis=1))[:-1])
+    return groups, int(payloads.size)
 
 
 def _resolve_groups(nu: int, m: int, ng: int | None) -> int:
@@ -75,7 +92,6 @@ class BaseProtocol:
 
     def __init__(self, query: Query):
         self.query = query
-        self.rejected = 0
 
     # -- randomization -----------------------------------------------------
 
@@ -155,13 +171,7 @@ class CountProtocol(BaseProtocol):
         hcount, hdata = self._honest_per_group(xs, honest, ng)
         pos = nb_sample(hcount / m, p, rng)
         neg = nb_sample(hcount / m, p, rng)
-        payloads = np.repeat(
-            np.tile(np.asarray([1, -1], dtype=np.int64), ng),
-            _interleave(hdata + pos, neg),
-        )
-        sizes = hdata + pos + neg
-        groups = np.split(payloads, np.cumsum(sizes)[:-1])
-        return groups, int(sizes.sum())
+        return _emit_codes(np.column_stack([hdata + pos, neg]))
 
     def data_payload(self, x, rng):
         return np.ones(int(x), dtype=np.int64)
@@ -260,24 +270,15 @@ class _TokenVectorProtocol(BaseProtocol):
         r = (hcount / m)[:, None]
         pos = nb_sample(np.broadcast_to(r, (ng, self.bins)), p, rng)
         neg = nb_sample(np.broadcast_to(r, (ng, self.bins)), p, rng)
-        codes = np.arange(1, self.bins + 1, dtype=np.int64)
-        pattern = np.tile(np.concatenate([codes, -codes]), ng)
-        noise = np.repeat(pattern, np.hstack([pos, neg]).reshape(-1))
-        noise_sizes = pos.sum(axis=1) + neg.sum(axis=1)
-        noise_groups = np.split(noise, np.cumsum(noise_sizes)[:-1])
-
-        t = self._tokens_per_user()
-        if honest is None:
-            data = self._data_codes(xs)
-        else:
-            data = self._data_codes(xs[honest])
-        data_groups = np.split(data, np.cumsum(hcount * t)[:-1])
-
-        groups = [
-            np.concatenate([d, z]) for d, z in zip(data_groups, noise_groups)
-        ]
-        total = int(data.size + noise_sizes.sum())
-        return groups, total
+        user_group = np.arange(xs.size) // (xs.size // ng)
+        if honest is not None:
+            xs, user_group = xs[honest], user_group[honest]
+        cell = (
+            np.repeat(user_group, self._tokens_per_user()) * self.bins
+            + self._data_codes(xs) - 1
+        )
+        data = np.bincount(cell, minlength=ng * self.bins).reshape(ng, self.bins)
+        return _emit_codes(np.hstack([pos + data, neg]))
 
     def data_payload(self, x, rng):
         return self._data_codes(np.asarray([x], dtype=np.int64))
@@ -287,7 +288,6 @@ class _TokenVectorProtocol(BaseProtocol):
             raise ProtocolError("tokens must be nonzero bin codes")
         bins = np.abs(payloads) - 1
         ok = bins < self.bins
-        self.rejected += int(np.count_nonzero(~ok))
         out = np.zeros(self.bins, dtype=np.int64)
         np.add.at(out, bins[ok], np.sign(payloads[ok]))
         return out

@@ -4,13 +4,14 @@ Every tree node (level, group) owns a shuffler guarded by a secret 64-bit
 token. Users learn only the tokens of the groups they belong to, so a
 corrupted user cannot place messages in any other group's aggregate; a
 guessed token is rejected on submission. After all submissions, each inbox
-releases a uniformly permuted multiset of its accepted payloads with the
-tokens stripped.
+releases the multiset of its accepted payloads with the tokens stripped.
+
+Every analyzer is a symmetric fold over that multiset, so no order it
+could observe needs simulating: payloads come out in arrival order.
 
 Payloads travel in batches: an Envelope carries one sender's whole payload
 array for one shuffler, which keeps desk-scale runs vectorized without
-changing what the analyzer can observe (it only ever sees the shuffled
-multiset).
+changing what the analyzer can observe.
 """
 
 from __future__ import annotations
@@ -55,28 +56,31 @@ class ShufflerInbox:
     def accepted_count(self) -> int:
         return sum(int(a.size) for a in self.accepted)
 
-    def shuffle(self, rng: np.random.Generator) -> np.ndarray:
-        """Uniformly permuted multiset of accepted payloads, tokens stripped."""
+    def shuffle(self, rng: np.random.Generator | None = None) -> np.ndarray:
+        """The multiset of accepted payloads, tokens stripped, in arrival order.
+
+        ``rng`` is accepted and not used, so that callers which pass a
+        generator (``bench/tracing.py`` does) keep working; no analyzer
+        can observe message order, so none is drawn.
+        """
         if not self.accepted:
             return np.zeros(0, dtype=np.int64)
-        out = self.accepted[0] if len(self.accepted) == 1 else np.concatenate(self.accepted)
-        if out.size <= 1:
-            return out
-        return rng.permutation(out)
+        if len(self.accepted) == 1:
+            return self.accepted[0]
+        return np.concatenate(self.accepted)
 
 
 class TokenTable:
     """The provisioned shuffler tokens of one run, keyed by (level, group)."""
 
     def __init__(self, nodes: list[tuple[int, int]], rng: np.random.Generator):
-        ids: set[int] = set()
-        self.by_node: dict[tuple[int, int], ShufflerToken] = {}
-        for r, g in nodes:
-            tid = int(rng.integers(0, 1 << 63, dtype=np.int64))
-            while tid in ids:
-                tid = int(rng.integers(0, 1 << 63, dtype=np.int64))
-            ids.add(tid)
-            self.by_node[(r, g)] = ShufflerToken(tid, r, g)
+        ids = rng.integers(0, 1 << 63, size=len(nodes), dtype=np.int64)
+        while np.unique(ids).size < ids.size:
+            ids = rng.integers(0, 1 << 63, size=len(nodes), dtype=np.int64)
+        self.by_node: dict[tuple[int, int], ShufflerToken] = {
+            (r, g): ShufflerToken(tid, r, g)
+            for (r, g), tid in zip(nodes, ids.tolist())
+        }
 
     def __len__(self) -> int:
         return len(self.by_node)

@@ -8,7 +8,6 @@ import pytest
 
 from shuffleguard.defense import (
     analyze,
-    group_of,
     plan_base,
     plan_bsdp,
     plan_hsdp,
@@ -145,19 +144,15 @@ class TestPlans:
 
 class TestGroupOf:
     def test_examples(self):
-        assert group_of(5, 3) == 2
-        assert group_of(1, 7) == 1
-        assert group_of(8, 4) == 1
+        plan = plan_hsdp(count_base(), 64, 1.0, 0.01, 0.1)
+        assert plan.group_of(5, 3) == 2
+        assert plan.group_of(1, 7) == 1
+        assert plan.group_of(8, 4) == 1
 
     def test_with_wide_bottom(self):
-        assert group_of(5, 1, lam=4) == 2
-        assert group_of(4, 1, lam=4) == 1
-
-    def test_plan_agrees(self):
-        plan = plan_hsdp(count_base(), 8, 1.0, 0.01, 0.1)
-        for i in range(1, 9):
-            for lp in plan.levels:
-                assert plan.group_of(i, lp.r) == group_of(i, lp.r)
+        plan = plan_ohsdp(count_base(), 8, 1.0, 0.01, 0.1, lam=4)
+        assert plan.group_of(5, 1) == 2
+        assert plan.group_of(4, 1) == 1
 
 
 class TestRandomizeUser:
