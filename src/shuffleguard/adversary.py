@@ -12,13 +12,14 @@ group's token.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .defense import TreePlan
 from .errors import ParameterError
-from .protocols import SumProtocol, _TokenVectorProtocol
+from .protocols import HistProtocol, RangeTreeProtocol, SumProtocol
 from .queries import check_domain
 from .runtime import Envelope, TokenTable
 
@@ -127,7 +128,7 @@ def malicious_envelopes(
                     dtype=np.int64,
                 )
             else:
-                if not isinstance(base, _TokenVectorProtocol):
+                if not isinstance(base, (HistProtocol, RangeTreeProtocol)):
                     raise ParameterError("FloodHist needs a binned protocol")
                 payloads = np.tile(
                     np.arange(1, base.bins + 1, dtype=np.int64),
@@ -139,7 +140,9 @@ def malicious_envelopes(
     if isinstance(strategy, DropNoise):
         for lp in plan.levels:
             tok = tokens.token(lp.r, plan.group_of(user_id, lp.r))
-            out.append(Envelope(tok.id, base.data_payload(x, rng)))
+            # At epsilon = inf the randomizer adds no noise tokens.
+            payloads = base.randomize(x, math.inf, 1, rng)
+            out.append(Envelope(tok.id, payloads))
         return out
 
     if isinstance(strategy, AlterInput):

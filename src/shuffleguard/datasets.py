@@ -27,17 +27,17 @@ def gen_dataset(dist: str, n: int, domain_size: int, seed, a: float = 1.5) -> Da
     - ``gauss``: rounded normal with mu = sigma = U/5, clamped to [0, U].
     """
     rng = np.random.default_rng(seed)
-    u = max(1, domain_size)
+    span = domain_size + 1  # values in {0..U}
     if dist == "unif":
-        values = rng.integers(0, u + 1, size=n)
+        values = rng.integers(0, span, size=n)
     elif dist == "zipf":
         if a <= 1:
             raise ParameterError("zipf exponent must exceed 1")
-        values = np.minimum(rng.zipf(a, size=n), ZIPF_TRUNCATION_FACTOR * u)
-        values = values % u
+        values = np.minimum(rng.zipf(a, size=n), ZIPF_TRUNCATION_FACTOR * span)
+        values = values % span
     elif dist == "gauss":
-        mu = u / 5.0
-        values = np.clip(np.rint(rng.normal(mu, mu, size=n)), 0, u)
+        mu = domain_size / 5.0
+        values = np.clip(np.rint(rng.normal(mu, mu, size=n)), 0, domain_size)
     else:
         raise ParameterError(f"unknown distribution {dist!r}")
     return Dataset(values.astype(np.int64))

@@ -148,9 +148,11 @@ def experiment_dataset(config: ExperimentConfig) -> Dataset:
     if config.data is not None:
         ds = load_csv(config.data, config.col if config.col is not None else 0,
                       cap=config.cap if config.cap is not None else config.u)
-        check_domain(q, ds.values)
-        return Dataset(_pad_to(config.n, ds.values))
-    return gen_dataset(config.dist, config.n, q.max_input, config.seed)
+        ds = Dataset(_pad_to(config.n, ds.values))
+    else:
+        ds = gen_dataset(config.dist, config.n, q.max_input, config.seed)
+    check_domain(q, ds.values)
+    return ds
 
 
 def build_plan(config: ExperimentConfig, lam: int | None = None) -> TreePlan:

@@ -8,6 +8,12 @@ whole levels can be randomized and analyzed with vectorized numpy calls:
   - perbin-hist:  codes +-(bin+1); sign is the token sign, |code|-1 the bin.
   - tree-hist:    perbin-hist codes over the flattened dyadic-interval bins.
 
+Count, hist and tree are one token protocol (``_TokenProtocol``) with
+``bins`` bins and ``per_user`` data tokens per user: count is the one-bin
+case, whose code +1 is also the +1 of a signed unary token. They share
+one randomizer, one per-bin tally and one set of cost descriptors; count
+only keeps a stricter analyzer (+-1 codes, a scalar result).
+
 Noise model: a user in a group of nominal size m contributes NB(1/m, p)
 tokens per sign (per bin, for histograms), so the group aggregate carries
 exactly discrete-Laplace(p) noise — the NB shares are infinitely divisible.
@@ -19,9 +25,12 @@ identical to h independent per-user draws.
 
 Every analyzer is a symmetric fold over the multiset a shuffler releases
 (a signed sum, a sum mod q, or a per-bin tally), so message order carries
-nothing. The token randomizers (count, hist, tree) therefore build each
-group's code counts, data tokens included, and emit one payload per group
-listed by code through ``_emit_codes``.
+nothing. The token randomizer therefore builds each group's code counts,
+data tokens included, and emits one payload per group listed by code
+through ``_emit_codes``.
+
+There is no separate noiseless encoder: ``randomize`` at epsilon = inf
+draws no noise (p = 0) and returns exactly the user's data payload.
 
 The matching ``error_bound`` is the exact DLap tail quantile and doubles as
 the defense layer's detection threshold.
@@ -85,6 +94,16 @@ def _resolve_groups(nu: int, m: int, ng: int | None) -> int:
     return ng
 
 
+def _honest_per_group(
+    xs: np.ndarray, honest: np.ndarray | None, ng: int
+) -> np.ndarray:
+    """Honest users per group, groups contiguous."""
+    size = xs.size // ng
+    if honest is None:
+        return np.full(ng, size, dtype=np.int64)
+    return honest.reshape(ng, size).sum(axis=1)
+
+
 class BaseProtocol:
     """Common interface: level-wide randomization and a pure analyzer fold."""
 
@@ -121,11 +140,6 @@ class BaseProtocol:
         """
         raise NotImplementedError
 
-    def data_payload(self, x: int, rng) -> np.ndarray:
-        """The noiseless payload a user would send for input x (all levels'
-        data tokens, no noise tokens) — what a noise-dropping user emits."""
-        raise NotImplementedError
-
     # -- analysis ----------------------------------------------------------
 
     def analyze(self, payloads: np.ndarray) -> QueryValue:
@@ -143,53 +157,6 @@ class BaseProtocol:
     def bits_per_msg(self) -> int:
         """Payload width; the shuffler-token bits are accounted separately."""
         raise NotImplementedError
-
-    # -- shared helpers ----------------------------------------------------
-
-    def _honest_per_group(
-        self, xs: np.ndarray, honest: np.ndarray | None, ng: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(honest-count, honest-data-sum) per group, groups contiguous."""
-        size = xs.size // ng
-        if honest is None:
-            counts = np.full(ng, size, dtype=np.int64)
-            sums = xs.reshape(ng, size).sum(axis=1)
-        else:
-            counts = honest.reshape(ng, size).sum(axis=1)
-            sums = np.where(honest, xs, 0).reshape(ng, size).sum(axis=1)
-        return counts, sums
-
-
-class CountProtocol(BaseProtocol):
-    """Signed unary tokens: one +1 per set bit, DLap(e^-eps) group noise."""
-
-    name = "dlap-count"
-
-    def randomize_level(self, xs, epsilon, m, rng, honest=None, ng=None):
-        ng = _resolve_groups(xs.size, m, ng)
-        p = noise_base(epsilon, 1)
-        hcount, hdata = self._honest_per_group(xs, honest, ng)
-        pos = nb_sample(hcount / m, p, rng)
-        neg = nb_sample(hcount / m, p, rng)
-        return _emit_codes(np.column_stack([hdata + pos, neg]))
-
-    def data_payload(self, x, rng):
-        return np.ones(int(x), dtype=np.int64)
-
-    def analyze(self, payloads):
-        if payloads.size and not np.all(np.abs(payloads) == 1):
-            raise ProtocolError("count analyzer expects +-1 tokens")
-        return int(payloads.sum())
-
-    def error_bound(self, epsilon, beta):
-        return dlap_threshold(epsilon, 1, beta)
-
-    def expected_msgs(self, epsilon, m):
-        p = noise_base(epsilon, 1)
-        return 1.0 + 2.0 * p / (m * (1.0 - p))
-
-    def bits_per_msg(self):
-        return 2
 
 
 class SumProtocol(BaseProtocol):
@@ -224,12 +191,9 @@ class SumProtocol(BaseProtocol):
             np.full(hxs.size, 1.0 / m), p, rng
         )
         payloads = self.encode((hxs + z) % self.modulus, rng)
-        hcount = honest.reshape(ng, xs.size // ng).sum(axis=1)
+        hcount = _honest_per_group(xs, honest, ng)
         groups = np.split(payloads, np.cumsum(hcount * self.shares)[:-1])
         return groups, int(hcount.sum()) * self.shares
-
-    def data_payload(self, x, rng):
-        return self.encode(np.asarray([x], dtype=np.int64), rng)
 
     def analyze(self, payloads):
         q = self.modulus
@@ -248,75 +212,97 @@ class SumProtocol(BaseProtocol):
         return int(math.ceil(math.log2(self.modulus)))
 
 
-class _TokenVectorProtocol(BaseProtocol):
-    """Shared machinery for the per-bin token protocols (hist and tree)."""
+class _TokenProtocol(BaseProtocol):
+    """Signed per-bin tokens: codes +-(bin+1) over ``bins`` bins.
 
-    bins: int
+    Each user sends ``per_user`` data tokens and, for every bin and sign,
+    an NB(1/m, p) share of noise tokens; the budget is split evenly over
+    the data tokens, so p = e^-(eps/per_user).
+    """
 
-    def _data_codes(self, xs: np.ndarray) -> np.ndarray:
-        """Per-user data token codes, user-major when multiple per user."""
+    def __init__(self, query: Query, bins: int, per_user: int = 1):
+        super().__init__(query)
+        self.bins = bins
+        self.per_user = per_user
+
+    def _data_tokens(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(owner, code) of every data token: owner indexes ``xs``."""
         raise NotImplementedError
 
-    def _tokens_per_user(self) -> int:
-        return 1
-
     def _noise_p(self, epsilon: float) -> float:
-        return noise_base(epsilon, 1)
+        return noise_base(epsilon / self.per_user, 1)
 
     def randomize_level(self, xs, epsilon, m, rng, honest=None, ng=None):
         ng = _resolve_groups(xs.size, m, ng)
         p = self._noise_p(epsilon)
-        hcount, _ = self._honest_per_group(xs, honest, ng)
-        r = (hcount / m)[:, None]
+        r = (_honest_per_group(xs, honest, ng) / m)[:, None]
         pos = nb_sample(np.broadcast_to(r, (ng, self.bins)), p, rng)
         neg = nb_sample(np.broadcast_to(r, (ng, self.bins)), p, rng)
         user_group = np.arange(xs.size) // (xs.size // ng)
         if honest is not None:
             xs, user_group = xs[honest], user_group[honest]
-        cell = (
-            np.repeat(user_group, self._tokens_per_user()) * self.bins
-            + self._data_codes(xs) - 1
-        )
+        owner, codes = self._data_tokens(xs)
+        cell = user_group[owner] * self.bins + codes - 1
         data = np.bincount(cell, minlength=ng * self.bins).reshape(ng, self.bins)
         return _emit_codes(np.hstack([pos + data, neg]))
 
-    def data_payload(self, x, rng):
-        return self._data_codes(np.asarray([x], dtype=np.int64))
-
     def analyze(self, payloads):
-        if payloads.size and (payloads == 0).any():
+        # Code c lands in slot c + bins + 1; the two end slots collect the
+        # out-of-range codes, which are dropped.
+        b = self.bins
+        tally = np.bincount(
+            np.clip(payloads, -b - 1, b + 1) + (b + 1), minlength=2 * b + 3
+        )
+        if tally[b + 1]:
             raise ProtocolError("tokens must be nonzero bin codes")
-        bins = np.abs(payloads) - 1
-        ok = bins < self.bins
-        out = np.zeros(self.bins, dtype=np.int64)
-        np.add.at(out, bins[ok], np.sign(payloads[ok]))
-        return out
+        return tally[b + 2 : 2 * b + 2] - tally[b:0:-1]
+
+    def error_bound(self, epsilon, beta):
+        per_token = dlap_threshold(epsilon / self.per_user, 1, beta / self.bins)
+        return self.per_user * per_token
+
+    def expected_msgs(self, epsilon, m):
+        p = self._noise_p(epsilon)
+        return self.per_user + 2.0 * self.bins * p / (m * (1.0 - p))
 
     def bits_per_msg(self):
         return int(math.ceil(math.log2(self.bins))) + 1 if self.bins > 1 else 1
 
 
-class HistProtocol(_TokenVectorProtocol):
+class CountProtocol(_TokenProtocol):
+    """Signed unary tokens: one +1 per set bit, DLap(e^-eps) group noise."""
+
+    name = "dlap-count"
+
+    def __init__(self, query: Query):
+        super().__init__(query, bins=1)
+
+    def _data_tokens(self, xs):
+        owner = np.repeat(np.arange(xs.size), xs)
+        return owner, np.ones(owner.size, dtype=np.int64)
+
+    def analyze(self, payloads):
+        if payloads.size and not np.all(np.abs(payloads) == 1):
+            raise ProtocolError("count analyzer expects +-1 tokens")
+        return int(payloads.sum())
+
+    def bits_per_msg(self):
+        return 2
+
+
+class HistProtocol(_TokenProtocol):
     """One data token plus independent per-bin signed noise tokens."""
 
     name = "perbin-hist"
 
     def __init__(self, query: Query):
-        super().__init__(query)
-        self.bins = query.domain_size + 1
+        super().__init__(query, query.domain_size + 1)
 
-    def _data_codes(self, xs):
-        return xs + 1
-
-    def error_bound(self, epsilon, beta):
-        return dlap_threshold(epsilon, 1, beta / self.bins)
-
-    def expected_msgs(self, epsilon, m):
-        p = noise_base(epsilon, 1)
-        return 1.0 + 2.0 * self.bins * p / (m * (1.0 - p))
+    def _data_tokens(self, xs):
+        return np.arange(xs.size), xs + 1
 
 
-class RangeTreeProtocol(_TokenVectorProtocol):
+class RangeTreeProtocol(_TokenProtocol):
     """Per-bin histogram tokens over the flattened dyadic-interval bins.
 
     The per-node budget is split evenly across the tree levels; each user
@@ -326,32 +312,15 @@ class RangeTreeProtocol(_TokenVectorProtocol):
     name = "tree-hist"
 
     def __init__(self, query: Query):
-        super().__init__(query)
-        self.bins = query.num_bins
-        self.num_levels = len(query.tree_levels)
+        super().__init__(query, query.num_bins, len(query.tree_levels))
 
-    def _data_codes(self, xs):
+    def _data_tokens(self, xs):
         cols = [
             offset + (xs >> shift) + 1
             for offset, _, shift in self.query.tree_levels
         ]
-        return np.stack(cols, axis=1).reshape(-1)
-
-    def _tokens_per_user(self):
-        return self.num_levels
-
-    def _noise_p(self, epsilon):
-        return noise_base(epsilon / self.num_levels, 1)
-
-    def error_bound(self, epsilon, beta):
-        per_level = dlap_threshold(
-            epsilon / self.num_levels, 1, beta / self.bins
-        )
-        return self.num_levels * per_level
-
-    def expected_msgs(self, epsilon, m):
-        p = self._noise_p(epsilon)
-        return self.num_levels + 2.0 * self.bins * p / (m * (1.0 - p))
+        owner = np.repeat(np.arange(xs.size), self.per_user)
+        return owner, np.stack(cols, axis=1).reshape(-1)
 
 
 _DEFAULT_BASE = {

@@ -75,10 +75,6 @@ class Query:
             raise ValueError("domain_size must be nonnegative")
 
     @property
-    def norm(self) -> str:
-        return "l1" if self.kind in _SCALAR_KINDS else "linf"
-
-    @property
     def max_input(self) -> int:
         return 1 if self.kind is QueryKind.COUNT else self.domain_size
 

@@ -17,7 +17,12 @@ from shuffleguard.adversary import (
 )
 from shuffleguard.defense import plan_hsdp, plan_ohsdp, randomize_all
 from shuffleguard.errors import DomainError, ParameterError
-from shuffleguard.protocols import CountProtocol, HistProtocol, SumProtocol
+from shuffleguard.protocols import (
+    CountProtocol,
+    HistProtocol,
+    SumProtocol,
+    make_base,
+)
 from shuffleguard.queries import Query, QueryKind
 from shuffleguard.runtime import provision
 
@@ -112,6 +117,41 @@ class TestOtherStrategies:
         assert len(envs) == len(plan.levels)
         for e in envs:
             np.testing.assert_array_equal(e.payloads, [1])
+
+    @pytest.mark.parametrize(
+        "kind,u,x,data",
+        [
+            (QueryKind.COUNT, 0, 1, [1]),
+            (QueryKind.SUM, 10, 7, None),
+            (QueryKind.HISTOGRAM, 3, 2, [3]),
+            # level offsets 0, 4, 6: value 3 is bins 3, 1 and 0 of its levels
+            (QueryKind.RANGE_TREE, 3, 3, [4, 6, 7]),
+        ],
+        ids=["count", "sum", "hist", "range"],
+    )
+    def test_drop_noise_sends_noiseless_data(self, kind, u, x, data):
+        base = make_base(Query(kind, u), 8)
+        plan = plan_hsdp(base, 8, 1.0, 0.01, 0.1)
+        tokens = provision(plan, np.random.default_rng(0))
+        envs = malicious_envelopes(
+            DropNoise(), 5, plan, tokens, np.random.default_rng(1), x=x
+        )
+        assert len(envs) == len(plan.levels)
+        for e in envs:
+            if data is None:
+                assert e.payloads.size == base.shares
+                assert int(e.payloads.sum()) % base.modulus == x
+            else:
+                np.testing.assert_array_equal(e.payloads, data)
+
+    def test_flood_hist_rejects_count_protocol(self):
+        plan = count_plan()
+        tokens = provision(plan, np.random.default_rng(0))
+        with pytest.raises(ParameterError):
+            malicious_envelopes(
+                FloodHist(msgs_per_bin=1), 1, plan, tokens,
+                np.random.default_rng(1),
+            )
 
     def test_alter_input_runs_honest_randomizer(self):
         plan = count_plan(eps=INF)

@@ -53,6 +53,25 @@ class TestGenDataset:
         with pytest.raises(ParameterError):
             gen_dataset("zipf", 10, 1, seed=0, a=1.0)
 
+    @pytest.mark.parametrize("dist", ["unif", "zipf", "gauss"])
+    @pytest.mark.parametrize("u", [0, 1, 8])
+    def test_values_stay_in_domain(self, dist, u):
+        d = gen_dataset(dist, 10_000, u, seed=0)
+        assert d.values.min() >= 0 and d.values.max() <= u
+
+    @pytest.mark.parametrize("u", [1, 8])
+    def test_zipf_reaches_top_value(self, u):
+        assert gen_dataset("zipf", 10_000, u, seed=0).values.max() == u
+
+    def test_degenerate_domain_runs_from_cli(self):
+        from shuffleguard.cli import main
+
+        rc = main([
+            "run", "--query", "hist", "--u", "0", "--protocol", "base",
+            "--n", "64", "--trials", "2",
+        ])
+        assert rc == 0
+
 
 class TestLoadCsv:
     def test_cap(self, tmp_path):

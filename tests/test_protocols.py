@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from shuffleguard.errors import ParameterError, ProtocolError
+from shuffleguard.noise import dlap_threshold, noise_base
 from shuffleguard.protocols import (
     CountProtocol,
     HistProtocol,
@@ -307,6 +308,47 @@ class TestDescriptors:
         errs = np.asarray(errs, dtype=float)
         sem = errs.std() / math.sqrt(errs.size)
         assert abs(errs.mean()) <= 3 * sem
+
+
+_EPS = st.floats(0.05, 20.0)
+_BETA = st.floats(1e-9, 0.99)
+_U = st.integers(0, 64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(eps=_EPS, b1=_BETA, b2=_BETA, u=_U)
+def test_error_bound_non_increasing_in_beta(eps, b1, b2, u):
+    lo, hi = sorted((b1, b2))
+    for proto in (
+        count_proto(), sum_proto(u=max(u, 1)), hist_proto(u), range_proto(u)
+    ):
+        assert proto.error_bound(eps, hi) <= proto.error_bound(eps, lo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(eps=_EPS, beta=_BETA, u=_U, m=st.integers(1, 1024))
+def test_token_descriptors_match_closed_forms(eps, beta, u, m):
+    # Count, hist and range share one set of descriptors; each must equal
+    # the protocol's own closed form exactly.
+    assert count_proto().error_bound(eps, beta) == dlap_threshold(eps, 1, beta)
+    p = noise_base(eps, 1)
+    assert count_proto().expected_msgs(eps, m) == 1.0 + 2.0 * p / (m * (1.0 - p))
+
+    hist = hist_proto(u)
+    assert hist.error_bound(eps, beta) == dlap_threshold(eps, 1, beta / (u + 1))
+    assert hist.expected_msgs(eps, m) == 1.0 + 2.0 * (u + 1) * p / (
+        m * (1.0 - p)
+    )
+
+    tree = range_proto(u)
+    levels = len(tree.query.tree_levels)
+    assert tree.error_bound(eps, beta) == levels * dlap_threshold(
+        eps / levels, 1, beta / tree.bins
+    )
+    p = noise_base(eps / levels, 1)
+    assert tree.expected_msgs(eps, m) == levels + 2.0 * tree.bins * p / (
+        m * (1.0 - p)
+    )
 
 
 class TestFactory:
