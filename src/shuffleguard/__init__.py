@@ -6,6 +6,7 @@ from .defense import (
     TreePlan,
     Variant,
     analyze,
+    detect,
     make_plan,
     plan_base,
     plan_bsdp,
@@ -13,6 +14,7 @@ from .defense import (
     plan_ohsdp,
     plan_susdp,
     randomize_all,
+    tally_all,
 )
 from .errors import (
     DomainError,
@@ -45,9 +47,9 @@ from .runtime import Envelope, ShufflerInbox, provision
 __version__ = "0.1.0"
 
 __all__ = [
-    "DetectionReport", "TreePlan", "Variant", "analyze", "make_plan",
-    "plan_base", "plan_bsdp", "plan_hsdp", "plan_ohsdp", "plan_susdp",
-    "randomize_all",
+    "DetectionReport", "TreePlan", "Variant", "analyze", "detect",
+    "make_plan", "plan_base", "plan_bsdp", "plan_hsdp", "plan_ohsdp",
+    "plan_susdp", "randomize_all", "tally_all",
     "DomainError", "ParameterError", "ProtocolError", "ShapeError",
     "ShuffleguardError", "StructureError",
     "ExperimentConfig", "Summary", "TrialResult", "run_experiment",

@@ -8,6 +8,13 @@ estimate is out of range (bottom level) or inconsistent with its children
 (upper levels) is marked invalid and recovered from below, which bounds the
 damage any flooding attacker can do to the published top-level answer.
 
+A level is held as arrays throughout: ``tally_all`` draws each level's
+honest traffic as one ``(num_groups, bins)`` tally, and ``detect`` flags
+and recovers the whole tree from one estimate array per level.
+``randomize_all`` and ``analyze`` are the message-level forms of the two
+(envelopes in, released multisets out) and share their draws and their
+detector.
+
 Variants:
   - base:  the raw protocol, one group of n, no detection (baseline).
   - susdp: every user is their own group; flagged users are zeroed.
@@ -267,21 +274,39 @@ def make_plan(
 # randomization
 
 
+def tally_all(
+    plan: TreePlan, xs: np.ndarray, rng, honest=None
+) -> tuple[list[np.ndarray], int]:
+    """Every level's honest tally, bottom first, and the total honest
+    message count (for the per-user communication metric).
+
+    Each tally is the int64 ``(num_groups, bins)`` array of
+    ``BaseProtocol.tally_level``; no payload is materialized.
+    """
+    tallies = []
+    total = 0
+    for lp in plan.levels:
+        tally, count = plan.base.tally_level(
+            xs, lp.budget.epsilon, lp.group_size, rng, honest=honest
+        )
+        tallies.append(tally)
+        total += count
+    return tallies, total
+
+
 def randomize_all(
     plan: TreePlan, xs: np.ndarray, tokens: TokenTable, rng, honest=None
 ) -> tuple[list[Envelope], int]:
-    """All honest users' envelopes, batched per tree node; also the total
-    honest message count (for the per-user communication metric)."""
+    """The message-level form of ``tally_all``: the same draws as one
+    envelope per tree node, level by level, plus the honest message count."""
     envelopes = []
     total = 0
-    for lp in plan.levels:
+    for lp, ids in zip(plan.levels, tokens.levels):
         groups, count = plan.base.randomize_level(
             xs, lp.budget.epsilon, lp.group_size, rng, honest=honest
         )
         total += count
-        for g, payloads in enumerate(groups, start=1):
-            tok = tokens.token(lp.r, g)
-            envelopes.append(Envelope(tok.id, payloads))
+        envelopes.extend(map(Envelope, ids.tolist(), groups))
     return envelopes, total
 
 
@@ -298,35 +323,23 @@ class DetectionReport:
         return bool(self.flagged)
 
 
-def analyze(plan: TreePlan, shuffled: dict) -> tuple:
-    """Estimate, detect, and recover over the full tree, a level at a time.
+def detect(plan: TreePlan, levels: list[np.ndarray]) -> tuple:
+    """Detect and recover over the full tree, a level at a time.
 
-    ``shuffled`` maps each (level, group) node to its shuffled payload
-    multiset. A level's estimates form one int64 array of shape
-    ``(num_groups, bins)`` (``bins`` = 1 for count and sum). Bottom groups
-    are flagged when their estimate is farther from the attainable output
-    range than the level's noise threshold; upper groups when any child
-    was flagged or when max |estimate - sum of children| exceeds the
-    combined thresholds. Flagged bottom groups recover to zero, flagged
-    upper groups to the sum of their children's recovered values. The
-    published answer is the sum of the top level's recovered values (an
-    int for scalar queries, an int64 vector otherwise). Returns
-    (answer, DetectionReport), with flagged nodes bottom level first.
+    ``levels`` holds each level's group estimates, bottom first, as one
+    int64 array of shape ``(num_groups, bins)`` (``bins`` = 1 for count
+    and sum). Bottom groups are flagged when their estimate is farther
+    from the attainable output range than the level's noise threshold;
+    upper groups when any child was flagged or when max |estimate - sum
+    of children| exceeds the combined thresholds. Flagged bottom groups
+    recover to zero, flagged upper groups to the sum of their children's
+    recovered values. The published answer is the sum of the top level's
+    recovered values (an int for scalar queries, an int64 vector
+    otherwise). Returns (answer, DetectionReport), with flagged nodes
+    bottom level first.
     """
-    nodes = plan.nodes()
-    missing = [node for node in nodes if node not in shuffled]
-    if missing:
-        raise StructureError(
-            f"missing shuffled multiset for node {missing[0]}"
-        )
     q = plan.query
     bins = q.num_bins
-    est = np.array(
-        [plan.base.analyze(shuffled[node]) for node in nodes], dtype=np.int64
-    ).reshape(len(nodes), bins)
-    sizes = [lp.num_groups for lp in plan.levels]
-    levels = np.split(est, np.cumsum(sizes)[:-1])
-
     bottom = plan.levels[0]
     valid = np.ones(bottom.num_groups, dtype=bool)
     if plan.detects:
@@ -351,3 +364,22 @@ def analyze(plan: TreePlan, shuffled: dict) -> tuple:
     if q.kind in (QueryKind.COUNT, QueryKind.SUM):
         out = int(out[0])
     return out, DetectionReport(flagged=flagged)
+
+
+def analyze(plan: TreePlan, shuffled: dict) -> tuple:
+    """``detect`` over released multisets: the message-level analyzer.
+
+    ``shuffled`` maps each (level, group) node to its released payload
+    multiset; each node's estimate is ``plan.base.analyze`` of it.
+    """
+    nodes = plan.nodes()
+    missing = [node for node in nodes if node not in shuffled]
+    if missing:
+        raise StructureError(
+            f"missing shuffled multiset for node {missing[0]}"
+        )
+    est = np.array(
+        [plan.base.analyze(shuffled[node]) for node in nodes], dtype=np.int64
+    ).reshape(len(nodes), plan.query.num_bins)
+    sizes = [lp.num_groups for lp in plan.levels]
+    return detect(plan, np.split(est, np.cumsum(sizes)[:-1]))

@@ -3,10 +3,11 @@
 A trial is fully determined by (config, seed, trial index): the dataset is
 derived from the seed alone (shared by all trials of an experiment), while
 provisioning, honest noise, and adversary choices each draw from
-independent per-trial streams; shufflers release their multisets
-unpermuted and draw nothing. Reported metrics follow the usual
-robust-benchmark conventions: per-metric trimmed means over T trials
-(dropping the top and bottom 10%) plus the raw detection rate.
+independent per-trial streams. A trial holds each tree level as arrays
+from provisioning to the published answer (see ``run_trial``). Reported
+metrics follow the usual robust-benchmark conventions: per-metric
+trimmed means over T trials (dropping the top and bottom 10%) plus the
+raw detection rate.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import adversary as adv
 from .datasets import gen_dataset, load_csv
-from .defense import TreePlan, Variant, analyze, make_plan, randomize_all
+from .defense import TreePlan, Variant, detect, make_plan, tally_all
 from .errors import ParameterError
 from .protocols import make_base
 from .queries import (
@@ -81,6 +82,11 @@ class ExperimentConfig:
     def make_query(self) -> Query:
         if self.query not in _KINDS:
             raise ParameterError(f"unknown query {self.query!r}")
+        if self.query == "sum" and self.u < 1:
+            # U is the sum protocol's sensitivity: U = 0 sets no noise scale.
+            raise ParameterError(
+                f"--u must be at least 1 for sum, got {self.u}"
+            )
         return Query(_KINDS[self.query], 1 if self.query == "count" else self.u)
 
 
@@ -107,6 +113,7 @@ class TrialResult:
     bits_per_msg: int
     detected: bool
     flagged_nodes: int
+    rejected_msgs: int
     wall_time: float
 
 
@@ -121,6 +128,7 @@ class Summary:
     msgs_per_user: float
     bits_per_msg: float
     detection_rate: float
+    rejected_msgs: float
     mean_wall_time_s: float
 
 
@@ -193,7 +201,16 @@ def run_trial(
     plan: TreePlan | None = None,
     dataset: Dataset | None = None,
 ) -> TrialResult:
-    """One full protocol round: provision, randomize, shuffle, analyze."""
+    """One full protocol round: provision, randomize, shuffle, analyze.
+
+    The round of the message-level API (``make_inboxes``,
+    ``randomize_all``, ``submit``, ``shuffle``, ``analyze``) with one
+    array per level in place of messages, which every analyzer's
+    additivity allows: honest traffic is drawn as per-level tallies, each
+    adversary envelope is analyzed on its own and added to the row of the
+    node its token names, and detection runs on the finished rows.
+    Payloads under a token that names no node are rejected and counted.
+    """
     start = time.perf_counter()
     if dataset is None:
         dataset = experiment_dataset(config)
@@ -208,8 +225,6 @@ def run_trial(
     )
 
     tokens = provision(plan, rng_prov)
-    inboxes = tokens.make_inboxes()
-    by_id = {inbox.token.id: inbox for inbox in inboxes.values()}
 
     strategy = make_strategy(config, plan)
     honest = np.ones(config.n, dtype=bool)
@@ -218,27 +233,21 @@ def run_trial(
         for i in corrupted.ids:
             honest[i - 1] = False
 
-    envelopes, honest_msgs = randomize_all(
-        plan, xs, tokens, rng_honest, honest=honest
-    )
+    tallies, honest_msgs = tally_all(plan, xs, rng_honest, honest=honest)
+    rejected_msgs = 0
     if strategy is not None:
         for i in sorted(corrupted.ids):
-            envelopes.extend(
-                adv.malicious_envelopes(
-                    strategy, i, plan, tokens, rng_adv, x=int(xs[i - 1])
-                )
-            )
+            for e in adv.malicious_envelopes(
+                strategy, i, plan, tokens, rng_adv, x=int(xs[i - 1])
+            ):
+                node = tokens.node_of(e.token)
+                if node is None:
+                    rejected_msgs += int(e.payloads.size)
+                    continue
+                r, g = node
+                tallies[r - 1][g - 1] += plan.base.analyze(e.payloads)
 
-    stray_rejections = 0
-    for e in envelopes:
-        inbox = by_id.get(e.token)
-        if inbox is None:
-            stray_rejections += int(e.payloads.size)
-        else:
-            inbox.submit(e)
-
-    shuffled = {node: inbox.shuffle() for node, inbox in inboxes.items()}
-    estimate, report = analyze(plan, shuffled)
+    estimate, report = detect(plan, [plan.base.finish(t) for t in tallies])
 
     truth = eval_query(q, xs)
     abs_error = value_norm(q, estimate - truth)
@@ -255,6 +264,7 @@ def run_trial(
         bits_per_msg=plan.base.bits_per_msg() + plan.token_bits,
         detected=report.attack_detected,
         flagged_nodes=len(report.flagged),
+        rejected_msgs=rejected_msgs,
         wall_time=time.perf_counter() - start,
     )
 
@@ -274,6 +284,7 @@ def run_experiment(config: ExperimentConfig) -> Summary:
         msgs_per_user=trimmed_mean([r.msgs_per_user for r in results]),
         bits_per_msg=trimmed_mean([r.bits_per_msg for r in results]),
         detection_rate=float(np.mean([r.detected for r in results])),
+        rejected_msgs=trimmed_mean([r.rejected_msgs for r in results]),
         mean_wall_time_s=float(np.mean([r.wall_time for r in results])),
     )
 
@@ -295,8 +306,8 @@ def sweep(config: ExperimentConfig, axis: str, values) -> list[Summary]:
 # emission
 
 _METRIC_COLS = (
-    "abs_error", "rel_error_pct", "msgs_per_user", "bits_per_msg",
-    "detection_rate", "mean_wall_time_s",
+    "rejected_msgs", "abs_error", "rel_error_pct", "msgs_per_user",
+    "bits_per_msg", "detection_rate", "mean_wall_time_s",
 )
 
 
@@ -308,7 +319,11 @@ def _fmt(v):
 
 def summary_row(s: Summary) -> dict:
     row = {f.name: getattr(s.config, f.name) for f in fields(ExperimentConfig)}
-    row["lam"] = s.lam  # echo the resolved value, not "auto"
+    # Echo the values the run resolved, not "auto" or an empty default.
+    row["eps"] = s.config.eps_eff
+    row["delta"] = s.config.delta_eff
+    row["k_hat"] = s.config.k_hat_eff
+    row["lam"] = s.lam
     for col in _METRIC_COLS:
         row[col] = getattr(s, col)
     return row

@@ -25,9 +25,20 @@ identical to h independent per-user draws.
 
 Every analyzer is a symmetric fold over the multiset a shuffler releases
 (a signed sum, a sum mod q, or a per-bin tally), so message order carries
-nothing. The token randomizer therefore builds each group's code counts,
-data tokens included, and emits one payload per group listed by code
-through ``_emit_codes``.
+nothing. A level is drawn once and then takes one of two forms:
+
+  - ``tally_level``: the level's additive ``(groups, bins)`` int64 tally
+    (token protocols: positive code counts, data included, minus the
+    negative ones; sum: each group's residue sum) plus the exact honest
+    message count. No payload is materialized. ``finish`` turns a tally,
+    with any adversary envelopes' ``analyze`` results added to its rows,
+    into the estimates; it centers sums mod q and leaves token tallies
+    as they are.
+  - ``randomize_level``: the same draw as one payload array per group, for
+    the message-level path. The token protocols list each group's codes
+    in code order through ``_emit_codes``.
+
+Both make the same RNG calls, so they describe the same trial.
 
 There is no separate noiseless encoder: ``randomize`` at epsilon = inf
 draws no noise (p = 0) and returns exactly the user's data payload.
@@ -140,7 +151,30 @@ class BaseProtocol:
         """
         raise NotImplementedError
 
+    def tally_level(
+        self,
+        xs: np.ndarray,
+        epsilon: float,
+        m: int,
+        rng,
+        honest: np.ndarray | None = None,
+        ng: int | None = None,
+    ) -> tuple[np.ndarray, int]:
+        """The level of ``randomize_level`` as an additive tally.
+
+        Same arguments and RNG calls as ``randomize_level``. Returns an
+        int64 array of shape ``(ng, bins)`` (``bins`` = 1 for count and
+        sum) whose row g, after ``finish``, is ``analyze`` of group g's
+        payloads, plus the total honest message count.
+        """
+        raise NotImplementedError
+
     # -- analysis ----------------------------------------------------------
+
+    def finish(self, tally: np.ndarray) -> np.ndarray:
+        """Per-group estimates from a tally whose rows may also hold the
+        ``analyze`` results of envelopes folded into them."""
+        return tally
 
     def analyze(self, payloads: np.ndarray) -> QueryValue:
         raise NotImplementedError
@@ -174,33 +208,50 @@ class SumProtocol(BaseProtocol):
             3, (4 * max(1, n) * max(1, query.domain_size)).bit_length()
         )
 
-    def encode(self, totals: np.ndarray, rng) -> np.ndarray:
-        """Split each total into ``shares`` uniform residues summing to it."""
-        q = self.modulus
-        parts = rng.integers(0, q, size=(totals.size, self.shares))
-        parts[:, -1] = (totals - parts[:, :-1].sum(axis=1)) % q
-        return parts.reshape(-1).astype(np.int64)
-
-    def randomize_level(self, xs, epsilon, m, rng, honest=None, ng=None):
+    def _draw(self, xs, epsilon, m, rng, honest, ng):
+        """A level's draw: each honest user's total (input plus noise
+        share, mod q), the uniform residues that split it into
+        ``shares`` shares (last column not yet set), and the honest users
+        per group. Groups are contiguous."""
         ng = _resolve_groups(xs.size, m, ng)
         p = noise_base(epsilon, self.query.domain_size)
         if honest is None:
             honest = np.ones(xs.size, dtype=bool)
         hxs = xs[honest]
-        z = nb_sample(np.full(hxs.size, 1.0 / m), p, rng) - nb_sample(
-            np.full(hxs.size, 1.0 / m), p, rng
+        z = nb_sample(1.0 / m, p, rng, size=hxs.size) - nb_sample(
+            1.0 / m, p, rng, size=hxs.size
         )
-        payloads = self.encode((hxs + z) % self.modulus, rng)
-        hcount = _honest_per_group(xs, honest, ng)
+        totals = (hxs + z) % self.modulus
+        parts = rng.integers(0, self.modulus, size=(totals.size, self.shares))
+        return totals, parts, _honest_per_group(xs, honest, ng)
+
+    def randomize_level(self, xs, epsilon, m, rng, honest=None, ng=None):
+        totals, parts, hcount = self._draw(xs, epsilon, m, rng, honest, ng)
+        # The last share makes each user's shares sum to its total mod q.
+        parts[:, -1] = (totals - parts[:, :-1].sum(axis=1)) % self.modulus
+        payloads = parts.reshape(-1)
         groups = np.split(payloads, np.cumsum(hcount * self.shares)[:-1])
-        return groups, int(hcount.sum()) * self.shares
+        return groups, int(payloads.size)
+
+    def tally_level(self, xs, epsilon, m, rng, honest=None, ng=None):
+        totals, _, hcount = self._draw(xs, epsilon, m, rng, honest, ng)
+        # A user's shares sum to its total mod q, so a group's residue sum
+        # is, mod q, the sum of its users' totals: exact int64 prefix sums.
+        prefix = np.concatenate([[0], np.cumsum(totals)])
+        bounds = np.concatenate([[0], np.cumsum(hcount)])
+        return np.diff(prefix[bounds])[:, None], int(totals.size) * self.shares
+
+    def finish(self, tally):
+        """Each residue sum mod q, centered into (-q/2, q/2]."""
+        q = self.modulus
+        t = tally % q
+        return t - q * (t > q // 2)
 
     def analyze(self, payloads):
         q = self.modulus
         if payloads.size and ((payloads < 0).any() or (payloads >= q).any()):
             raise ProtocolError("sum analyzer expects residues in [0, q)")
-        total = int(payloads.sum() % q)
-        return total - q if total > q // 2 else total
+        return int(self.finish(payloads.sum()))
 
     def error_bound(self, epsilon, beta):
         return dlap_threshold(epsilon, self.query.domain_size, beta)
@@ -232,7 +283,9 @@ class _TokenProtocol(BaseProtocol):
     def _noise_p(self, epsilon: float) -> float:
         return noise_base(epsilon / self.per_user, 1)
 
-    def randomize_level(self, xs, epsilon, m, rng, honest=None, ng=None):
+    def _draw(self, xs, epsilon, m, rng, honest, ng):
+        """A level's ``(ng, 2*bins)`` code counts, data tokens included:
+        codes ``1..bins``, then ``-1..-bins``."""
         ng = _resolve_groups(xs.size, m, ng)
         p = self._noise_p(epsilon)
         r = (_honest_per_group(xs, honest, ng) / m)[:, None]
@@ -244,7 +297,15 @@ class _TokenProtocol(BaseProtocol):
         owner, codes = self._data_tokens(xs)
         cell = user_group[owner] * self.bins + codes - 1
         data = np.bincount(cell, minlength=ng * self.bins).reshape(ng, self.bins)
-        return _emit_codes(np.hstack([pos + data, neg]))
+        return np.hstack([pos + data, neg])
+
+    def randomize_level(self, xs, epsilon, m, rng, honest=None, ng=None):
+        return _emit_codes(self._draw(xs, epsilon, m, rng, honest, ng))
+
+    def tally_level(self, xs, epsilon, m, rng, honest=None, ng=None):
+        counts = self._draw(xs, epsilon, m, rng, honest, ng)
+        b = self.bins
+        return counts[:, :b] - counts[:, b:], int(counts.sum())
 
     def analyze(self, payloads):
         # Code c lands in slot c + bins + 1; the two end slots collect the

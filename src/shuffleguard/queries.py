@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ParameterError, ShapeError
 
 QueryValue = Union[int, np.ndarray]
 
@@ -72,7 +72,9 @@ class Query:
 
     def __post_init__(self):
         if self.domain_size < 0:
-            raise ValueError("domain_size must be nonnegative")
+            raise ParameterError(
+                f"domain size U must be nonnegative, got {self.domain_size}"
+            )
 
     @property
     def max_input(self) -> int:

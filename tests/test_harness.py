@@ -17,6 +17,7 @@ from shuffleguard.errors import (
 from shuffleguard.harness import (
     ExperimentConfig,
     auto_lambda,
+    build_plan,
     emit,
     run_experiment,
     run_trial,
@@ -158,6 +159,35 @@ class TestRunTrial:
         assert r.rel_error == pytest.approx(2.0, rel=0.15)
 
 
+    @pytest.mark.parametrize(
+        "attack,k", [("none", 0), ("flood", 1), ("drop", 1), ("impersonate", 1)]
+    )
+    def test_analyze_runs_once_per_accepted_adversary_envelope(self, attack, k):
+        # Honest traffic is folded per level; only adversary envelopes
+        # that bear a provisioned token meet the per-envelope analyzer.
+        cfg = ExperimentConfig(
+            query="hist", u=3, protocol="hsdp", n=64, k=k, attack=attack,
+            trials=1, seed=5,
+        )
+        plan = build_plan(cfg)
+        calls = []
+        analyze = plan.base.analyze
+        plan.base.analyze = lambda payloads: calls.append(1) or analyze(payloads)
+        run_trial(cfg, 0, plan=plan)
+        accepted = {"none": 0, "impersonate": 0}.get(attack, len(plan.levels))
+        assert len(calls) == accepted
+
+    def test_foreign_token_rejected_and_counted(self):
+        cfg = ExperimentConfig(
+            query="count", protocol="hsdp", n=64, k=1, attack="impersonate",
+            attack_msgs=37, trials=4, seed=6,
+        )
+        assert [run_trial(cfg, t).rejected_msgs for t in range(4)] == [37] * 4
+        assert run_experiment(cfg).rejected_msgs == 37
+        clean = ExperimentConfig(query="count", protocol="hsdp", n=64, trials=4)
+        assert run_experiment(clean).rejected_msgs == 0
+
+
 class TestSweepAndEmit:
     def test_sweep_replans(self):
         cfg = ExperimentConfig(
@@ -195,6 +225,36 @@ class TestSweepAndEmit:
         data = json.loads(path.read_text())
         assert data[0]["abs_error"] == pytest.approx(s.abs_error)
         assert data[0]["n"] == 16
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rejected_msgs_emitted(self, tmp_path, fmt):
+        cfg = ExperimentConfig(
+            query="count", protocol="ohsdp", n=64, k=1, attack="impersonate",
+            attack_msgs=9, trials=3, seed=2,
+        )
+        path = tmp_path / f"out.{fmt}"
+        emit([run_experiment(cfg)], fmt, path)
+        if fmt == "csv":
+            with path.open() as fh:
+                row = next(csv.DictReader(fh))
+        else:
+            row = json.loads(path.read_text())[0]
+        assert float(row["rejected_msgs"]) == 9
+
+    @pytest.mark.parametrize("query,eps", [("count", "1"), ("hist", "4")])
+    def test_csv_row_echoes_resolved_budget(self, tmp_path, query, eps):
+        # Left at their defaults, eps, delta and k_hat are written as the
+        # values the run used, not as empty cells.
+        cfg = ExperimentConfig(
+            query=query, u=3, protocol="ohsdp", n=64, k=2, trials=2, seed=0
+        )
+        path = tmp_path / "out.csv"
+        emit([run_experiment(cfg)], "csv", path)
+        with path.open() as fh:
+            row = next(csv.DictReader(fh))
+        assert row["eps"] == eps
+        assert float(row["delta"]) == pytest.approx(64 ** -2.0, rel=1e-5)
+        assert row["k_hat"] == "2"
 
     def test_summary_row_echoes_resolved_lambda(self):
         cfg = ExperimentConfig(
@@ -286,6 +346,23 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "40 values, more than n=16" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "query,u,needle",
+        [("hist", "-1", "must be nonnegative, got -1"),
+         ("range", "-3", "must be nonnegative, got -3"),
+         ("sum", "0", "--u must be at least 1 for sum, got 0")],
+    )
+    def test_bad_domain_size_is_one_line(self, query, u, needle, capsys):
+        from shuffleguard.cli import main
+
+        rc = main([
+            "run", "--query", query, "--u", u, "--n", "64", "--trials", "2",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(

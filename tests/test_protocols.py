@@ -256,6 +256,67 @@ def test_analyze_ignores_order(proto, codes, data):
     )
 
 
+@pytest.mark.parametrize(
+    "proto",
+    [count_proto(), sum_proto(), hist_proto(), range_proto()],
+    ids=["count", "sum", "hist", "range"],
+)
+@settings(max_examples=30, deadline=None)
+@given(
+    log_m=st.integers(0, 4),
+    groups=st.integers(1, 6),
+    eps=st.sampled_from([0.5, 2.0, INF]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_tally_level_is_randomize_level_analyzed(
+    proto, log_m, groups, eps, seed, data
+):
+    # One draw, two forms: finish(tally) row g is analyze of group g's
+    # payloads, with the same message count and the same RNG use after.
+    m = 1 << log_m
+    n = m * groups
+    xs = np.asarray(
+        data.draw(st.lists(st.integers(0, proto.query.max_input),
+                           min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    honest = np.asarray(
+        data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    )
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    payloads, msgs = proto.randomize_level(xs, eps, m, rng_a, honest=honest)
+    tally, tally_msgs = proto.tally_level(xs, eps, m, rng_b, honest=honest)
+    assert tally.dtype == np.int64
+    assert tally.shape == (groups, proto.query.num_bins)
+    assert tally_msgs == msgs == sum(p.size for p in payloads)
+    want = np.array([proto.analyze(p) for p in payloads]).reshape(tally.shape)
+    np.testing.assert_array_equal(proto.finish(tally), want)
+    assert rng_a.integers(1 << 62) == rng_b.integers(1 << 62)
+
+
+def test_sum_tally_exact_at_largest_modulus():
+    # The sum workload of the benchmark (U = 255, n = 2**16) has the
+    # largest modulus of the golden and benchmark configs: q = 2**26.
+    proto = sum_proto(u=255, n=1 << 16)
+    q = proto.modulus
+    assert q == 1 << 26
+    xs = np.zeros(4096, dtype=np.int64)
+    payloads, _ = proto.randomize_level(xs, 1.0, 1024, np.random.default_rng(3))
+    tally, _ = proto.tally_level(xs, 1.0, 1024, np.random.default_rng(3))
+    # A user with negative noise wraps to a residue near q, so a row
+    # only matches after reduction mod q.
+    assert (tally >= q).any()
+    # Fold a residue-heavy envelope into group 0 the way run_trial does:
+    # analyzed on its own and added to the row.
+    envelope = np.full(5000, q - 1, dtype=np.int64)
+    tally[0] += proto.analyze(envelope)
+    payloads[0] = np.concatenate([payloads[0], envelope])
+    assert proto.finish(tally)[:, 0].tolist() == [
+        proto.analyze(p) for p in payloads
+    ]
+
+
 class TestDescriptors:
     def test_count_threshold(self):
         assert count_proto().error_bound(1.0, 0.1) == 3

@@ -1,8 +1,10 @@
 """Token-authorized shufflers: provisioning, filtering, release."""
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from shuffleguard.defense import plan_hsdp, plan_ohsdp
+from shuffleguard.defense import plan_bsdp, plan_hsdp, plan_ohsdp, plan_susdp
 from shuffleguard.protocols import CountProtocol
 from shuffleguard.queries import Query, QueryKind
 from shuffleguard.runtime import Envelope, ShufflerInbox, ShufflerToken, provision
@@ -26,16 +28,40 @@ class TestProvision:
     def test_distinct_ids_within_run(self):
         plan = plan_hsdp(count_base(), 16, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(1))
-        ids = [t.id for t in tokens.by_node.values()]
-        assert len(set(ids)) == len(ids)
+        ids = tokens.ids.tolist()
+        assert len(set(ids)) == len(ids) == 2 * 16 - 1
 
     def test_different_seeds_share_no_tokens(self):
         plan = plan_hsdp(count_base(), 16, 1.0, 0.01, 0.1)
         a = provision(plan, np.random.default_rng(1))
         b = provision(plan, np.random.default_rng(2))
-        ids_a = {t.id for t in a.by_node.values()}
-        ids_b = {t.id for t in b.by_node.values()}
+        ids_a = set(a.ids.tolist())
+        ids_b = set(b.ids.tolist())
         assert not ids_a & ids_b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    make=st.sampled_from([
+        lambda: plan_susdp(count_base(), 16, 1.0, 0.01, 0.1),
+        lambda: plan_bsdp(count_base(), 16, 1.0, 0.01, 0.1),
+        lambda: plan_hsdp(count_base(), 32, 1.0, 0.01, 0.1),
+        lambda: plan_ohsdp(count_base(), 64, 1.0, 0.01, 0.1, lam=8),
+    ]),
+    seed=st.integers(0, 2**32 - 1),
+    guess=st.integers(-(1 << 64), 1 << 64),
+)
+def test_node_of_finds_every_node_and_no_guess(make, seed, guess):
+    plan = make()
+    tokens = provision(plan, np.random.default_rng(seed))
+    ids = set(tokens.ids.tolist())
+    for r, g in plan.nodes():
+        tid = tokens.token(r, g).id
+        assert tokens.node_of(tid) == (r, g)
+        if tid + 1 not in ids:  # the sorted neighbour of a real id
+            assert tokens.node_of(tid + 1) is None
+    assume(guess not in ids)
+    assert tokens.node_of(guess) is None
 
 
 class TestSubmit:
@@ -91,7 +117,7 @@ def test_unknown_token_reaches_no_inbox():
     tokens = provision(plan, np.random.default_rng(5))
     inboxes = tokens.make_inboxes()
     guess = 424242
-    assert guess not in {t.id for t in tokens.by_node.values()}
+    assert guess not in tokens.ids
     accepted = [ib.submit(Envelope(guess, np.ones(3, dtype=np.int64))) for ib in inboxes.values()]
     assert not any(accepted)
     assert all(ib.accepted_count == 0 for ib in inboxes.values())
