@@ -3,11 +3,13 @@ and impersonation attempts.
 
 A corrupted user keeps exactly the capabilities of an honest one — the
 shuffler tokens of its own groups and the protocol's public parameters —
-but may send arbitrary well-formed payloads through them. Flooding
-attackers replace their honest contribution entirely (a strictly stronger
-adversary than one that also participates honestly); the impersonation
-attacker targets a group it does not belong to and can only guess that
-group's token.
+and may send any payloads through them; malformed ones are discarded by
+the analyzer. Every strategy but ``Impersonate`` is one ``payloads(base,
+lp, x, rng)`` method: what the user, whose true input is ``x``, sends
+through its own token of level ``lp``. It replaces the user's honest
+contribution entirely (a strictly stronger adversary than one that also
+participates honestly). ``Impersonate`` targets a group the attacker is
+not in and can only guess that group's token.
 """
 
 from __future__ import annotations
@@ -17,42 +19,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defense import TreePlan
+from .defense import LevelPlan, TreePlan
 from .errors import ParameterError
-from .protocols import HistProtocol, RangeTreeProtocol, SumProtocol
+from .protocols import BaseProtocol
 from .queries import check_domain
 from .runtime import Envelope, TokenTable
 
 
 @dataclass(frozen=True)
-class FloodCount:
-    """Send extra signed count tokens through every authorized shuffler."""
+class Flood:
+    """Send ``msgs`` copies of the protocol's top payloads per level: every
+    bin's +1 token (count is the one-bin case), or the residue U for sum."""
 
-    msgs_per_level: int
-    sign: int = 1
-    level: int | None = None  # restrict to one level (1-based), or all
+    msgs: int
 
-
-@dataclass(frozen=True)
-class FloodSum:
-    """Send single residues, each shifting the aggregate by ``value``."""
-
-    msgs_per_level: int
-    value: int = 1
-    level: int | None = None
-
-
-@dataclass(frozen=True)
-class FloodHist:
-    """Send extra +1 tokens into every bin of every authorized shuffler."""
-
-    msgs_per_bin: int
-    level: int | None = None
+    def payloads(self, base: BaseProtocol, lp: LevelPlan, x: int, rng):
+        # np.tile(base.top, msgs); a read-only view, not a copy, when the
+        # top is one code (count and sum).
+        return np.broadcast_to(base.top, (self.msgs, base.top.size)).reshape(-1)
 
 
 @dataclass(frozen=True)
 class DropNoise:
     """Participate with data tokens only, contributing zero noise shares."""
+
+    def payloads(self, base: BaseProtocol, lp: LevelPlan, x: int, rng):
+        # At epsilon = inf the randomizer adds no noise tokens.
+        return base.randomize(x, math.inf, 1, rng)
 
 
 @dataclass(frozen=True)
@@ -60,6 +53,12 @@ class AlterInput:
     """Run the honest randomizer on a forged (but in-domain) input."""
 
     forged: int
+
+    def payloads(self, base: BaseProtocol, lp: LevelPlan, x: int, rng):
+        check_domain(base.query, np.asarray([self.forged], dtype=np.int64))
+        return base.randomize(
+            self.forged, lp.budget.epsilon, lp.group_size, rng
+        )
 
 
 @dataclass(frozen=True)
@@ -87,73 +86,22 @@ def corrupt_users(n: int, k: int, rng: np.random.Generator) -> CorruptionSet:
     return CorruptionSet(frozenset(int(i) for i in ids))
 
 
-def _authorized_levels(strategy, plan: TreePlan):
-    level = getattr(strategy, "level", None)
-    if level is None:
-        return plan.levels
-    return [lp for lp in plan.levels if lp.r == level]
-
-
 def malicious_envelopes(
     strategy, user_id: int, plan: TreePlan, tokens: TokenTable, rng, x: int = 0
 ) -> list[Envelope]:
     """One corrupted user's full output for a run.
 
-    The user only ever addresses tokens it is authorized for — one per
-    level, determined by its own group membership — except Impersonate,
-    which fabricates a guess for the victim's token. ``x`` is the user's
-    true input, consulted only by the noise-dropping strategy.
+    One envelope per level, through the user's own token of that level,
+    except for Impersonate, which fabricates a guess for the victim's
+    token. ``x`` is the user's true input.
     """
-    base = plan.base
-
     if isinstance(strategy, Impersonate):
         guess = int(rng.integers(0, 1 << 63, dtype=np.int64))
-        payloads = np.ones(strategy.msgs, dtype=np.int64)
-        return [Envelope(guess, payloads)]
-
-    out = []
-    if isinstance(strategy, (FloodCount, FloodSum, FloodHist)):
-        for lp in _authorized_levels(strategy, plan):
-            tok = tokens.token(lp.r, plan.group_of(user_id, lp.r))
-            if isinstance(strategy, FloodCount):
-                payloads = np.full(
-                    strategy.msgs_per_level, strategy.sign, dtype=np.int64
-                )
-            elif isinstance(strategy, FloodSum):
-                if not isinstance(base, SumProtocol):
-                    raise ParameterError("FloodSum needs the sum protocol")
-                payloads = np.full(
-                    strategy.msgs_per_level,
-                    strategy.value % base.modulus,
-                    dtype=np.int64,
-                )
-            else:
-                if not isinstance(base, (HistProtocol, RangeTreeProtocol)):
-                    raise ParameterError("FloodHist needs a binned protocol")
-                payloads = np.tile(
-                    np.arange(1, base.bins + 1, dtype=np.int64),
-                    strategy.msgs_per_bin,
-                )
-            out.append(Envelope(tok.id, payloads))
-        return out
-
-    if isinstance(strategy, DropNoise):
-        for lp in plan.levels:
-            tok = tokens.token(lp.r, plan.group_of(user_id, lp.r))
-            # At epsilon = inf the randomizer adds no noise tokens.
-            payloads = base.randomize(x, math.inf, 1, rng)
-            out.append(Envelope(tok.id, payloads))
-        return out
-
-    if isinstance(strategy, AlterInput):
-        forged = np.asarray([strategy.forged], dtype=np.int64)
-        check_domain(plan.query, forged)
-        for lp in plan.levels:
-            tok = tokens.token(lp.r, plan.group_of(user_id, lp.r))
-            payloads = base.randomize(
-                strategy.forged, lp.budget.epsilon, lp.group_size, rng
-            )
-            out.append(Envelope(tok.id, payloads))
-        return out
-
-    raise ParameterError(f"unknown attack strategy {strategy!r}")
+        return [Envelope(guess, np.ones(strategy.msgs, dtype=np.int64))]
+    return [
+        Envelope(
+            int(ids[plan.group_of(user_id, lp.r) - 1]),
+            strategy.payloads(plan.base, lp, x, rng),
+        )
+        for lp, ids in zip(plan.levels, tokens.levels)
+    ]

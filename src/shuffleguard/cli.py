@@ -77,17 +77,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(convert, text, flag: str):
+    """``convert(text)``, or a ParameterError naming the flag."""
+    try:
+        return convert(text)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{flag} expects a number, got {text!r}") from None
+
+
 def _coerce_lam(v):
     if v is None or v == "auto":
         return v
-    return int(v)
+    return _number(int, v, "--lambda")
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config:
         with open(args.config) as fh:
-            file_values = json.load(fh)
+            try:
+                file_values = json.load(fh)
+            except ValueError as exc:
+                raise ParameterError(f"--config {args.config}: {exc}") from None
+        if not isinstance(file_values, dict):
+            raise ParameterError(f"--config {args.config} must hold an object")
         known = {f.name for f in fields(ExperimentConfig)}
         unknown = set(file_values) - known
         if unknown:
@@ -122,7 +135,7 @@ def main(argv=None) -> int:
             summaries = [run_experiment(config)]
         else:
             axis_values = [
-                float(v) if args.axis == "eps" else int(v)
+                _number(float if args.axis == "eps" else int, v, "--values")
                 for v in args.values.split(",")
             ]
             summaries = sweep(config, args.axis, axis_values)

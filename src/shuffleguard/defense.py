@@ -257,7 +257,7 @@ def plan_ohsdp(
 
 
 def make_plan(
-    variant: Variant, base, n, epsilon, delta, beta, lam=None, k_hat=1
+    variant: Variant, base, n, epsilon, delta, beta, lam=1, k_hat=1
 ) -> TreePlan:
     if variant is Variant.BASE:
         return plan_base(base, n, epsilon, delta, beta)
@@ -267,7 +267,7 @@ def make_plan(
         return plan_bsdp(base, n, epsilon, delta, beta)
     if variant is Variant.HSDP:
         return plan_hsdp(base, n, epsilon, delta, beta)
-    return plan_ohsdp(base, n, epsilon, delta, beta, lam or 1, k_hat)
+    return plan_ohsdp(base, n, epsilon, delta, beta, lam, k_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,8 @@ def analyze(plan: TreePlan, shuffled: dict) -> tuple:
     """``detect`` over released multisets: the message-level analyzer.
 
     ``shuffled`` maps each (level, group) node to its released payload
-    multiset; each node's estimate is ``plan.base.analyze`` of it.
+    multiset; each node's estimate is ``plan.base.analyze`` of its
+    well-formed payloads (``run_trial`` discards the others alike).
     """
     nodes = plan.nodes()
     missing = [node for node in nodes if node not in shuffled]
@@ -378,8 +379,10 @@ def analyze(plan: TreePlan, shuffled: dict) -> tuple:
         raise StructureError(
             f"missing shuffled multiset for node {missing[0]}"
         )
+    base = plan.base
     est = np.array(
-        [plan.base.analyze(shuffled[node]) for node in nodes], dtype=np.int64
+        [base.analyze(base.drop_malformed(shuffled[nd])) for nd in nodes],
+        dtype=np.int64,
     ).reshape(len(nodes), plan.query.num_bins)
     sizes = [lp.num_groups for lp in plan.levels]
     return detect(plan, np.split(est, np.cumsum(sizes)[:-1]))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -65,6 +66,19 @@ class ExperimentConfig:
     out: str | None = None
     format: str = "csv"
 
+    def __post_init__(self):
+        # Checked at ingress: n = 0 would divide by zero in planning and
+        # trials = 0 would summarize no trial as a row of nans.
+        for flag, value, least in (
+            ("--n", self.n, 1), ("--trials", self.trials, 1),
+            ("--attack-msgs", self.attack_msgs or 0, 0),
+        ):
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ParameterError(
+                    f"{flag} must be an integer of at least {least}, "
+                    f"got {value!r}"
+                )
+
     @property
     def eps_eff(self) -> float:
         if self.eps is not None:
@@ -114,6 +128,7 @@ class TrialResult:
     detected: bool
     flagged_nodes: int
     rejected_msgs: int
+    malformed_msgs: int
     wall_time: float
 
 
@@ -129,6 +144,7 @@ class Summary:
     bits_per_msg: float
     detection_rate: float
     rejected_msgs: float
+    malformed_msgs: float
     mean_wall_time_s: float
 
 
@@ -181,11 +197,7 @@ def make_strategy(config: ExperimentConfig, plan: TreePlan):
         return None
     msgs = config.attack_msgs if config.attack_msgs is not None else config.n
     if config.attack == "flood":
-        if config.query == "count":
-            return adv.FloodCount(msgs_per_level=msgs, sign=1)
-        if config.query == "sum":
-            return adv.FloodSum(msgs_per_level=msgs, value=plan.query.domain_size)
-        return adv.FloodHist(msgs_per_bin=msgs)
+        return adv.Flood(msgs)
     if config.attack == "drop":
         return adv.DropNoise()
     if config.attack == "alter":
@@ -209,7 +221,9 @@ def run_trial(
     additivity allows: honest traffic is drawn as per-level tallies, each
     adversary envelope is analyzed on its own and added to the row of the
     node its token names, and detection runs on the finished rows.
-    Payloads under a token that names no node are rejected and counted.
+    Payloads under a token that names no node are rejected and counted;
+    accepted payloads outside the protocol's alphabet are discarded before
+    the (strict) analyzer and counted as malformed.
     """
     start = time.perf_counter()
     if dataset is None:
@@ -234,7 +248,7 @@ def run_trial(
             honest[i - 1] = False
 
     tallies, honest_msgs = tally_all(plan, xs, rng_honest, honest=honest)
-    rejected_msgs = 0
+    rejected_msgs = malformed_msgs = 0
     if strategy is not None:
         for i in sorted(corrupted.ids):
             for e in adv.malicious_envelopes(
@@ -244,8 +258,10 @@ def run_trial(
                 if node is None:
                     rejected_msgs += int(e.payloads.size)
                     continue
+                payloads = plan.base.drop_malformed(e.payloads)
+                malformed_msgs += int(e.payloads.size - payloads.size)
                 r, g = node
-                tallies[r - 1][g - 1] += plan.base.analyze(e.payloads)
+                tallies[r - 1][g - 1] += plan.base.analyze(payloads)
 
     estimate, report = detect(plan, [plan.base.finish(t) for t in tallies])
 
@@ -265,6 +281,7 @@ def run_trial(
         detected=report.attack_detected,
         flagged_nodes=len(report.flagged),
         rejected_msgs=rejected_msgs,
+        malformed_msgs=malformed_msgs,
         wall_time=time.perf_counter() - start,
     )
 
@@ -285,6 +302,7 @@ def run_experiment(config: ExperimentConfig) -> Summary:
         bits_per_msg=trimmed_mean([r.bits_per_msg for r in results]),
         detection_rate=float(np.mean([r.detected for r in results])),
         rejected_msgs=trimmed_mean([r.rejected_msgs for r in results]),
+        malformed_msgs=trimmed_mean([r.malformed_msgs for r in results]),
         mean_wall_time_s=float(np.mean([r.wall_time for r in results])),
     )
 
@@ -293,21 +311,20 @@ _SWEEP_FIELDS = {"lambda": "lam", "k": "k", "eps": "eps", "n": "n"}
 
 
 def sweep(config: ExperimentConfig, axis: str, values) -> list[Summary]:
-    """One experiment per axis value, re-planning each time."""
+    """One experiment per axis value, re-planning each time; every value's
+    config is checked before the first experiment runs."""
     if axis not in _SWEEP_FIELDS:
         raise ParameterError(f"unknown sweep axis {axis!r}")
-    out = []
-    for v in values:
-        out.append(run_experiment(replace(config, **{_SWEEP_FIELDS[axis]: v})))
-    return out
+    configs = [replace(config, **{_SWEEP_FIELDS[axis]: v}) for v in values]
+    return [run_experiment(c) for c in configs]
 
 
 # ---------------------------------------------------------------------------
 # emission
 
 _METRIC_COLS = (
-    "rejected_msgs", "abs_error", "rel_error_pct", "msgs_per_user",
-    "bits_per_msg", "detection_rate", "mean_wall_time_s",
+    "rejected_msgs", "malformed_msgs", "abs_error", "rel_error_pct",
+    "msgs_per_user", "bits_per_msg", "detection_rate", "mean_wall_time_s",
 )
 
 

@@ -179,6 +179,18 @@ class BaseProtocol:
     def analyze(self, payloads: np.ndarray) -> QueryValue:
         raise NotImplementedError
 
+    def well_formed(self, payloads: np.ndarray) -> np.ndarray:
+        """Mask of the payloads in the alphabet, all that ``analyze`` takes."""
+        raise NotImplementedError
+
+    def drop_malformed(self, payloads: np.ndarray) -> np.ndarray:
+        """The well-formed payloads: ``payloads`` itself if all are."""
+        ok = self.well_formed(payloads)
+        return payloads if ok.all() else payloads[ok]
+
+    #: Per bin, the one message that raises the group's estimate the most.
+    top: np.ndarray
+
     # -- descriptors -------------------------------------------------------
 
     def error_bound(self, epsilon: float, beta: float) -> int:
@@ -197,12 +209,11 @@ class SumProtocol(BaseProtocol):
     """Split-and-mix residues mod q with DLap(e^-eps/U) group noise."""
 
     name = "splitmix-sum"
+    shares = SUM_SHARES
 
-    def __init__(self, query: Query, n: int, shares: int = SUM_SHARES):
+    def __init__(self, query: Query, n: int):
         super().__init__(query)
-        if shares < 2:
-            raise ParameterError("need at least 2 shares per user")
-        self.shares = shares
+        self.top = np.array([query.domain_size], dtype=np.int64)
         # q must exceed twice any honest aggregate magnitude, noise included.
         self.modulus = 1 << max(
             3, (4 * max(1, n) * max(1, query.domain_size)).bit_length()
@@ -218,10 +229,11 @@ class SumProtocol(BaseProtocol):
         if honest is None:
             honest = np.ones(xs.size, dtype=bool)
         hxs = xs[honest]
-        z = nb_sample(1.0 / m, p, rng, size=hxs.size) - nb_sample(
-            1.0 / m, p, rng, size=hxs.size
-        )
-        totals = (hxs + z) % self.modulus
+        # Built in place: each array here holds one int64 per honest user.
+        totals = nb_sample(1.0 / m, p, rng, size=hxs.size)
+        totals -= nb_sample(1.0 / m, p, rng, size=hxs.size)
+        totals += hxs
+        totals %= self.modulus
         parts = rng.integers(0, self.modulus, size=(totals.size, self.shares))
         return totals, parts, _honest_per_group(xs, honest, ng)
 
@@ -248,10 +260,12 @@ class SumProtocol(BaseProtocol):
         return t - q * (t > q // 2)
 
     def analyze(self, payloads):
-        q = self.modulus
-        if payloads.size and ((payloads < 0).any() or (payloads >= q).any()):
+        if not self.well_formed(payloads).all():
             raise ProtocolError("sum analyzer expects residues in [0, q)")
         return int(self.finish(payloads.sum()))
+
+    def well_formed(self, payloads):
+        return (payloads >= 0) & (payloads < self.modulus)
 
     def error_bound(self, epsilon, beta):
         return dlap_threshold(epsilon, self.query.domain_size, beta)
@@ -275,6 +289,7 @@ class _TokenProtocol(BaseProtocol):
         super().__init__(query)
         self.bins = bins
         self.per_user = per_user
+        self.top = np.arange(1, bins + 1, dtype=np.int64)
 
     def _data_tokens(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(owner, code) of every data token: owner indexes ``xs``."""
@@ -318,6 +333,9 @@ class _TokenProtocol(BaseProtocol):
             raise ProtocolError("tokens must be nonzero bin codes")
         return tally[b + 2 : 2 * b + 2] - tally[b:0:-1]
 
+    def well_formed(self, payloads):
+        return (payloads != 0) & (np.abs(payloads) <= self.bins)
+
     def error_bound(self, epsilon, beta):
         per_token = dlap_threshold(epsilon / self.per_user, 1, beta / self.bins)
         return self.per_user * per_token
@@ -343,7 +361,7 @@ class CountProtocol(_TokenProtocol):
         return owner, np.ones(owner.size, dtype=np.int64)
 
     def analyze(self, payloads):
-        if payloads.size and not np.all(np.abs(payloads) == 1):
+        if not self.well_formed(payloads).all():
             raise ProtocolError("count analyzer expects +-1 tokens")
         return int(payloads.sum())
 

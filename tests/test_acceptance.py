@@ -106,7 +106,7 @@ def test_a04_detection_rate_transition():
     points = [theta1 // 2, theta1, lam + 2 * theta1]
     det, err = [], []
     for m in points:
-        strategy = adv.FloodCount(msgs_per_level=m)
+        strategy = adv.Flood(msgs=m)
         detected = 0
         errs = []
         for t in range(runs):

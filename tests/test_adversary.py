@@ -8,9 +8,7 @@ import pytest
 from shuffleguard.adversary import (
     AlterInput,
     DropNoise,
-    FloodCount,
-    FloodHist,
-    FloodSum,
+    Flood,
     Impersonate,
     corrupt_users,
     malicious_envelopes,
@@ -63,48 +61,34 @@ class TestFlooding:
         plan = count_plan()
         tokens = provision(plan, np.random.default_rng(0))
         envs = malicious_envelopes(
-            FloodCount(msgs_per_level=8), 3, plan, tokens, np.random.default_rng(1)
+            Flood(msgs=8), 3, plan, tokens, np.random.default_rng(1)
         )
         assert len(envs) == len(plan.levels)
         for e, lp in zip(envs, plan.levels):
             assert e.token == tokens.token(lp.r, plan.group_of(3, lp.r)).id
             np.testing.assert_array_equal(e.payloads, np.ones(8))
 
-    def test_flood_count_level_restriction(self):
-        plan = count_plan()
-        tokens = provision(plan, np.random.default_rng(0))
-        envs = malicious_envelopes(
-            FloodCount(msgs_per_level=4, sign=-1, level=2),
-            1, plan, tokens, np.random.default_rng(1),
-        )
-        assert len(envs) == 1
-        assert envs[0].token == tokens.token(2, 1).id
-        np.testing.assert_array_equal(envs[0].payloads, -np.ones(4))
-
     def test_flood_sum_residues(self):
+        # Each flood residue is U, the most one sum message can add.
         base = SumProtocol(Query(QueryKind.SUM, 10), 8)
-        from shuffleguard.defense import plan_hsdp as mk
-
-        plan = mk(base, 8, 1.0, 0.01, 0.1)
+        plan = plan_hsdp(base, 8, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
         envs = malicious_envelopes(
-            FloodSum(msgs_per_level=3, value=7), 2, plan, tokens,
-            np.random.default_rng(1),
+            Flood(msgs=3), 2, plan, tokens, np.random.default_rng(1)
         )
+        assert len(envs) == len(plan.levels)
         for e in envs:
-            np.testing.assert_array_equal(e.payloads, [7, 7, 7])
+            np.testing.assert_array_equal(e.payloads, [10, 10, 10])
 
     def test_flood_hist_every_bin(self):
         base = HistProtocol(Query(QueryKind.HISTOGRAM, 2))
-        from shuffleguard.defense import plan_hsdp as mk
-
-        plan = mk(base, 4, 1.0, 0.01, 0.1)
+        plan = plan_hsdp(base, 4, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
         envs = malicious_envelopes(
-            FloodHist(msgs_per_bin=2), 1, plan, tokens, np.random.default_rng(1)
+            Flood(msgs=2), 1, plan, tokens, np.random.default_rng(1)
         )
         for e in envs:
-            assert sorted(e.payloads) == [1, 1, 2, 2, 3, 3]
+            np.testing.assert_array_equal(e.payloads, [1, 2, 3, 1, 2, 3])
 
 
 class TestOtherStrategies:
@@ -143,15 +127,6 @@ class TestOtherStrategies:
                 assert int(e.payloads.sum()) % base.modulus == x
             else:
                 np.testing.assert_array_equal(e.payloads, data)
-
-    def test_flood_hist_rejects_count_protocol(self):
-        plan = count_plan()
-        tokens = provision(plan, np.random.default_rng(0))
-        with pytest.raises(ParameterError):
-            malicious_envelopes(
-                FloodHist(msgs_per_bin=1), 1, plan, tokens,
-                np.random.default_rng(1),
-            )
 
     def test_alter_input_runs_honest_randomizer(self):
         plan = count_plan(eps=INF)
@@ -192,7 +167,7 @@ class TestStructural:
             tokens.token(lp.r, plan.group_of(2, lp.r)).id for lp in plan.levels
         }
         for strategy in (
-            FloodCount(msgs_per_level=5),
+            Flood(msgs=5),
             DropNoise(),
             AlterInput(forged=1),
         ):

@@ -222,6 +222,18 @@ class TestAnalyze:
             out, _ = run_round(plan, xs, seed=seed, floods=floods)
             assert abs(out - 8) <= bound + 1  # + gamma(Q, lam=1)
 
+    def test_malformed_payloads_discarded(self):
+        # Out-of-alphabet codes in a node's multiset are dropped before the
+        # strict analyzer, as run_trial drops them at its fold.
+        xs = np.asarray([1, 0, 1, 1, 0, 1, 1, 1], dtype=np.int64)
+        plan = plan_hsdp(count_base(), 8, 1.0, 0.01, 0.1)
+        flood = [((1, 3), [1, 1, 1]), ((2, 2), [-1])]
+        junk = [((1, 3), [2, 0, -2]), ((4, 1), [7])]
+        want = run_round(plan, xs, seed=4, floods=flood)
+        got = run_round(plan, xs, seed=4, floods=flood + junk)
+        assert got[0] == want[0]
+        assert got[1].flagged == want[1].flagged
+
     def test_missing_node_is_structural_error(self):
         plan = plan_hsdp(count_base(), 4, 1.0, 0.01, 0.1)
         with pytest.raises(StructureError):

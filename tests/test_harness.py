@@ -2,10 +2,13 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from shuffleguard import harness
+from shuffleguard.adversary import Flood
 from shuffleguard.datasets import gen_dataset, load_csv
 from shuffleguard.errors import (
     DomainError,
@@ -25,6 +28,7 @@ from shuffleguard.harness import (
     sweep,
     trimmed_mean,
 )
+from shuffleguard.protocols import SumProtocol
 
 
 class TestGenDataset:
@@ -177,6 +181,54 @@ class TestRunTrial:
         accepted = {"none": 0, "impersonate": 0}.get(attack, len(plan.levels))
         assert len(calls) == accepted
 
+    @pytest.mark.parametrize("query", ["count", "sum", "hist", "range"])
+    def test_malformed_payloads_discarded_and_counted(self, query, monkeypatch):
+        # A corrupted user may send any codes through its own tokens: the
+        # out-of-alphabet ones are discarded and counted, never fatal, and
+        # the trial is the same-seed trial of the plain flood.
+        cfg = ExperimentConfig(
+            query=query, u=7, protocol="ohsdp", n=1024, k=1, attack="flood",
+            attack_msgs=40, trials=2, seed=7,
+        )
+        plan = build_plan(cfg)
+        base = plan.base
+        if isinstance(base, SumProtocol):
+            junk = np.array([-1, base.modulus, 3 * base.modulus])
+        else:
+            junk = np.array([0, base.bins + 1, -base.bins - 1, 1 << 40])
+
+        class FloodWithJunk(Flood):
+            def payloads(self, base, lp, x, rng):
+                return np.concatenate([super().payloads(base, lp, x, rng), junk])
+
+        harness_detect = harness.detect
+        estimates = []
+
+        def detect(*args):
+            out = harness_detect(*args)
+            estimates.append(out[0])
+            return out
+
+        def trials(strategy):
+            monkeypatch.setattr(harness, "make_strategy", lambda c, p: strategy)
+            estimates.clear()
+            results = [run_trial(cfg, t, plan=plan) for t in range(cfg.trials)]
+            return results, list(estimates), run_experiment(cfg)
+
+        monkeypatch.setattr(harness, "detect", detect)
+        dirty, dirty_estimates, dirty_summary = trials(FloodWithJunk(40))
+        clean, clean_estimates, clean_summary = trials(Flood(40))
+        sent = junk.size * len(plan.levels)
+        assert [r.malformed_msgs for r in dirty] == [sent] * cfg.trials
+        assert dirty_summary.malformed_msgs == sent
+        assert clean_summary.malformed_msgs == 0
+        for a, b in zip(dirty, clean):
+            assert replace(a, malformed_msgs=0, wall_time=0) == replace(
+                b, wall_time=0
+            )
+        for a, b in zip(dirty_estimates, clean_estimates):
+            np.testing.assert_array_equal(a, b)
+
     def test_foreign_token_rejected_and_counted(self):
         cfg = ExperimentConfig(
             query="count", protocol="hsdp", n=64, k=1, attack="impersonate",
@@ -213,6 +265,7 @@ class TestSweepAndEmit:
         assert len(rows) == 1
         assert float(rows[0]["abs_error"]) == pytest.approx(s.abs_error, rel=1e-4)
         cols = list(rows[0].keys())
+        assert cols[-8:-6] == ["rejected_msgs", "malformed_msgs"]
         assert cols[-6:] == [
             "abs_error", "rel_error_pct", "msgs_per_user", "bits_per_msg",
             "detection_rate", "mean_wall_time_s",
@@ -301,6 +354,57 @@ class TestCli:
         conf = tmp_path / "c.json"
         conf.write_text(json.dumps({"bogus": 1}))
         assert main(["run", "--config", str(conf)]) == 2
+
+    @pytest.mark.parametrize("text", ["{\"n\": 64,", "[1, 2]"])
+    def test_malformed_config_is_one_line(self, tmp_path, text, capsys):
+        from shuffleguard.cli import main
+
+        conf = tmp_path / "c.json"
+        conf.write_text(text)
+        assert main(["run", "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config {conf}")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            (["run", "--lambda", "foo"], "--lambda expects a number, got 'foo'"),
+            (["run", "--lambda", "0", "--khat", "0"], "lam=0 must divide"),
+            (["run", "--attack-msgs", "-1"], "--attack-msgs must be an integer"
+             " of at least 0, got -1"),
+            (["run", "--n", "0"], "--n must be an integer of at least 1, got 0"),
+            (["run", "--n", "-4"], "--n must be an integer of at least 1, got -4"),
+            (["run", "--trials", "0"], "--trials must be an integer of at least"
+             " 1, got 0"),
+            (["sweep", "--axis", "k", "--values", "a,b"],
+             "--values expects a number, got 'a'"),
+            (["sweep", "--axis", "eps", "--values", "1,x"],
+             "--values expects a number, got 'x'"),
+            (["sweep", "--axis", "n", "--values", "64,0"],
+             "--n must be an integer of at least 1, got 0"),
+        ],
+        ids=[
+            "lambda-foo", "lambda-0", "attack-msgs-negative", "n-0",
+            "n-negative", "trials-0", "sweep-values-a", "sweep-eps-x",
+            "sweep-n-0",
+        ],
+    )
+    def test_bad_ingress_is_one_line(self, argv, needle, capsys, monkeypatch):
+        from shuffleguard.cli import main
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran on bad input")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        rc = main([
+            argv[0], "--protocol", "ohsdp", "--n", "64", "--trials", "2",
+            *argv[1:],
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert len(err.splitlines()) == 1
 
     def test_range_accepts_tree_hist_base(self, capsys):
         from shuffleguard.cli import main
