@@ -40,7 +40,6 @@ from .queries import (
     QueryKind,
     dis_to_range,
     eval_query,
-    range_diameter,
 )
 from .runtime import Envelope, ShufflerInbox, provision
 
@@ -57,7 +56,6 @@ __all__ = [
     "dlap_threshold", "nb_sample",
     "PrivacyBudget", "make_base",
     "Dataset", "Query", "QueryKind", "dis_to_range", "eval_query",
-    "range_diameter",
     "Envelope", "ShufflerInbox", "provision",
     "__version__",
 ]

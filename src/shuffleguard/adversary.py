@@ -3,13 +3,13 @@ and impersonation attempts.
 
 A corrupted user keeps exactly the capabilities of an honest one — the
 shuffler tokens of its own groups and the protocol's public parameters —
-and may send any payloads through them; malformed ones are discarded by
-the analyzer. Every strategy but ``Impersonate`` is one ``payloads(base,
-lp, x, rng)`` method: what the user, whose true input is ``x``, sends
-through its own token of level ``lp``. It replaces the user's honest
-contribution entirely (a strictly stronger adversary than one that also
-participates honestly). ``Impersonate`` targets a group the attacker is
-not in and can only guess that group's token.
+and may send any payloads through them; malformed ones are left out of
+the protocol's fold and counted. Every strategy but ``Impersonate`` is
+one ``payloads(base, lp, x, rng)`` method: what the user, whose true
+input is ``x``, sends through its own token of level ``lp``. It replaces
+the user's honest contribution entirely (a strictly stronger adversary
+than one that also participates honestly). ``Impersonate`` targets a
+group the attacker is not in and can only guess that group's token.
 """
 
 from __future__ import annotations

@@ -28,6 +28,14 @@ from .harness import (
 from .protocols import _DEFAULT_BASE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as one ``error: ...`` line with exit code 2
+    (the subcommand parsers are of this class too)."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--query", choices=["count", "sum", "hist", "range"])
@@ -58,7 +66,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shuffleguard",
         description="Shuffle-DP protocol simulator and experiment harness",
     )

@@ -370,8 +370,8 @@ def analyze(plan: TreePlan, shuffled: dict) -> tuple:
     """``detect`` over released multisets: the message-level analyzer.
 
     ``shuffled`` maps each (level, group) node to its released payload
-    multiset; each node's estimate is ``plan.base.analyze`` of its
-    well-formed payloads (``run_trial`` discards the others alike).
+    multiset; the nodes' ``plan.base.fold`` rows, which leave out
+    malformed payloads as ``run_trial`` does, are finished in one call.
     """
     nodes = plan.nodes()
     missing = [node for node in nodes if node not in shuffled]
@@ -380,9 +380,6 @@ def analyze(plan: TreePlan, shuffled: dict) -> tuple:
             f"missing shuffled multiset for node {missing[0]}"
         )
     base = plan.base
-    est = np.array(
-        [base.analyze(base.drop_malformed(shuffled[nd])) for nd in nodes],
-        dtype=np.int64,
-    ).reshape(len(nodes), plan.query.num_bins)
+    est = base.finish(np.stack([base.fold(shuffled[nd])[0] for nd in nodes]))
     sizes = [lp.num_groups for lp in plan.levels]
     return detect(plan, np.split(est, np.cumsum(sizes)[:-1]))

@@ -67,16 +67,45 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        # Checked at ingress: n = 0 would divide by zero in planning and
-        # trials = 0 would summarize no trial as a row of nans.
-        for flag, value, least in (
+        # Checked at ingress, before any randomization, since a config
+        # file may hold any JSON value: n = 0 would divide by zero in
+        # planning, trials = 0 would summarize no trial as a row of nans,
+        # NaN passes every `<=` check, and a string or a fraction where an
+        # integer belongs would fail deep inside a trial.
+        ints = [
             ("--n", self.n, 1), ("--trials", self.trials, 1),
-            ("--attack-msgs", self.attack_msgs or 0, 0),
-        ):
-            if not isinstance(value, numbers.Integral) or value < least:
+            ("--k", self.k, 0), ("--seed", self.seed, 0),
+        ]
+        # Left at None, these take a default that depends on other fields.
+        ints += [
+            (flag, value, 0)
+            for flag, value in (
+                ("--attack-msgs", self.attack_msgs), ("--khat", self.k_hat),
+                ("--cap", self.cap),
+            )
+            if value is not None
+        ]
+        for flag, value, least in ints:
+            if not (isinstance(value, numbers.Integral) and value >= least):
                 raise ParameterError(
                     f"{flag} must be an integer of at least {least}, "
                     f"got {value!r}"
+                )
+        # U's range is left to make_query, whose errors name the query.
+        if not isinstance(self.u, numbers.Integral):
+            raise ParameterError(f"--u must be an integer, got {self.u!r}")
+        # eps_eff is eps unless eps is None; delta None means n^-2.
+        if not (isinstance(self.eps_eff, numbers.Real) and self.eps_eff > 0):
+            raise ParameterError(
+                f"--eps must be a positive number, got {self.eps!r}"
+            )
+        fractions = [("--beta", self.beta)]
+        if self.delta is not None:
+            fractions.append(("--delta", self.delta))
+        for flag, value in fractions:
+            if not (isinstance(value, numbers.Real) and 0 < value < 1):
+                raise ParameterError(
+                    f"{flag} must be a number in (0, 1), got {value!r}"
                 )
 
     @property
@@ -182,6 +211,8 @@ def experiment_dataset(config: ExperimentConfig) -> Dataset:
 def build_plan(config: ExperimentConfig, lam: int | None = None) -> TreePlan:
     q = config.make_query()
     base = make_base(q, config.n, config.base)
+    if config.protocol not in {v.value for v in Variant}:
+        raise ParameterError(f"unknown protocol {config.protocol!r}")
     variant = Variant(config.protocol)
     return make_plan(
         variant, base, config.n,
@@ -217,13 +248,13 @@ def run_trial(
 
     The round of the message-level API (``make_inboxes``,
     ``randomize_all``, ``submit``, ``shuffle``, ``analyze``) with one
-    array per level in place of messages, which every analyzer's
-    additivity allows: honest traffic is drawn as per-level tallies, each
-    adversary envelope is analyzed on its own and added to the row of the
-    node its token names, and detection runs on the finished rows.
-    Payloads under a token that names no node are rejected and counted;
-    accepted payloads outside the protocol's alphabet are discarded before
-    the (strict) analyzer and counted as malformed.
+    array per level in place of messages, which the additivity of
+    ``base.fold`` allows: honest traffic is drawn as per-level tallies,
+    each adversary envelope's fold row is added to the row of the node its
+    token names, and detection runs on the finished rows. Payloads under a
+    token that names no node are rejected and counted; accepted payloads
+    outside the protocol's alphabet are left out of the fold and counted
+    as malformed.
     """
     start = time.perf_counter()
     if dataset is None:
@@ -258,10 +289,10 @@ def run_trial(
                 if node is None:
                     rejected_msgs += int(e.payloads.size)
                     continue
-                payloads = plan.base.drop_malformed(e.payloads)
-                malformed_msgs += int(e.payloads.size - payloads.size)
+                row, malformed = plan.base.fold(e.payloads)
+                malformed_msgs += malformed
                 r, g = node
-                tallies[r - 1][g - 1] += plan.base.analyze(payloads)
+                tallies[r - 1][g - 1] += row
 
     estimate, report = detect(plan, [plan.base.finish(t) for t in tallies])
 

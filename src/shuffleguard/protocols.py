@@ -11,8 +11,8 @@ whole levels can be randomized and analyzed with vectorized numpy calls:
 Count, hist and tree are one token protocol (``_TokenProtocol``) with
 ``bins`` bins and ``per_user`` data tokens per user: count is the one-bin
 case, whose code +1 is also the +1 of a signed unary token. They share
-one randomizer, one per-bin tally and one set of cost descriptors; count
-only keeps a stricter analyzer (+-1 codes, a scalar result).
+one randomizer, one per-bin tally, one fold and one set of cost
+descriptors.
 
 Noise model: a user in a group of nominal size m contributes NB(1/m, p)
 tokens per sign (per bin, for histograms), so the group aggregate carries
@@ -23,17 +23,17 @@ below draw each group's honest noise total in one shot as NB(h/m, p),
 where h is the number of honest contributors; this is distributionally
 identical to h independent per-user draws.
 
-Every analyzer is a symmetric fold over the multiset a shuffler releases
-(a signed sum, a sum mod q, or a per-bin tally), so message order carries
-nothing. A level is drawn once and then takes one of two forms:
+Each protocol has one ``fold``: any payloads to an additive int64
+``(bins,)`` row (a signed per-bin tally, or a residue sum mod q) of those
+in the alphabet, plus the count of the others. It is symmetric, so
+message order carries nothing. ``finish`` turns rows into estimates (it
+centers sums mod q); ``analyze``, ``finish`` of one fold, is strict.
+A level is drawn once and then takes one of two forms:
 
-  - ``tally_level``: the level's additive ``(groups, bins)`` int64 tally
-    (token protocols: positive code counts, data included, minus the
-    negative ones; sum: each group's residue sum) plus the exact honest
-    message count. No payload is materialized. ``finish`` turns a tally,
-    with any adversary envelopes' ``analyze`` results added to its rows,
-    into the estimates; it centers sums mod q and leaves token tallies
-    as they are.
+  - ``tally_level``: the level's ``(groups, bins)`` tally, whose row g
+    finishes as the fold of group g's payloads does, plus the exact
+    honest message count. No payload is materialized; envelopes' fold
+    rows add to its rows.
   - ``randomize_level``: the same draw as one payload array per group, for
     the message-level path. The token protocols list each group's codes
     in code order through ``_emit_codes``.
@@ -71,7 +71,7 @@ class PrivacyBudget:
     beta: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN included
             raise ParameterError("epsilon must be positive")
         if not 0 <= self.delta < 1:
             raise ParameterError("delta must be in [0, 1)")
@@ -164,29 +164,33 @@ class BaseProtocol:
 
         Same arguments and RNG calls as ``randomize_level``. Returns an
         int64 array of shape ``(ng, bins)`` (``bins`` = 1 for count and
-        sum) whose row g, after ``finish``, is ``analyze`` of group g's
-        payloads, plus the total honest message count.
+        sum) whose row g finishes as the ``fold`` row of group g's
+        payloads does, plus the total honest message count.
         """
         raise NotImplementedError
 
     # -- analysis ----------------------------------------------------------
 
+    def fold(self, payloads: np.ndarray) -> tuple[np.ndarray, int]:
+        """The additive int64 ``(bins,)`` row of the payloads in the
+        alphabet, plus how many payloads fall outside it."""
+        raise NotImplementedError
+
     def finish(self, tally: np.ndarray) -> np.ndarray:
-        """Per-group estimates from a tally whose rows may also hold the
-        ``analyze`` results of envelopes folded into them."""
+        """Estimates from ``fold`` rows, or from sums of them (a
+        ``tally_level`` row plus the rows of envelopes added to it)."""
         return tally
 
     def analyze(self, payloads: np.ndarray) -> QueryValue:
-        raise NotImplementedError
-
-    def well_formed(self, payloads: np.ndarray) -> np.ndarray:
-        """Mask of the payloads in the alphabet, all that ``analyze`` takes."""
-        raise NotImplementedError
-
-    def drop_malformed(self, payloads: np.ndarray) -> np.ndarray:
-        """The well-formed payloads: ``payloads`` itself if all are."""
-        ok = self.well_formed(payloads)
-        return payloads if ok.all() else payloads[ok]
+        """The estimate of one multiset (an int for count and sum); raises
+        on any payload outside the alphabet."""
+        row, malformed = self.fold(payloads)
+        if malformed:
+            raise ProtocolError(f"{malformed} payloads outside the alphabet")
+        est = self.finish(row)
+        if self.query.kind in (QueryKind.COUNT, QueryKind.SUM):
+            return int(est[0])
+        return est
 
     #: Per bin, the one message that raises the group's estimate the most.
     top: np.ndarray
@@ -259,13 +263,12 @@ class SumProtocol(BaseProtocol):
         t = tally % q
         return t - q * (t > q // 2)
 
-    def analyze(self, payloads):
-        if not self.well_formed(payloads).all():
-            raise ProtocolError("sum analyzer expects residues in [0, q)")
-        return int(self.finish(payloads.sum()))
-
-    def well_formed(self, payloads):
-        return (payloads >= 0) & (payloads < self.modulus)
+    def fold(self, payloads):
+        """The residue sum mod q of the payloads in [0, q)."""
+        q = self.modulus
+        ok = (payloads >= 0) & (payloads < q)
+        row = np.array([payloads.sum(where=ok) % q], dtype=np.int64)
+        return row, ok.size - np.count_nonzero(ok)
 
     def error_bound(self, epsilon, beta):
         return dlap_threshold(epsilon, self.query.domain_size, beta)
@@ -322,19 +325,15 @@ class _TokenProtocol(BaseProtocol):
         b = self.bins
         return counts[:, :b] - counts[:, b:], int(counts.sum())
 
-    def analyze(self, payloads):
-        # Code c lands in slot c + bins + 1; the two end slots collect the
-        # out-of-range codes, which are dropped.
+    def fold(self, payloads):
+        # Code c lands in slot c + bins + 1. Slots 0, bins + 1 and
+        # 2*bins + 2 collect the codes outside the alphabet: those below
+        # -bins, zero, and those above bins.
         b = self.bins
-        tally = np.bincount(
-            np.clip(payloads, -b - 1, b + 1) + (b + 1), minlength=2 * b + 3
-        )
-        if tally[b + 1]:
-            raise ProtocolError("tokens must be nonzero bin codes")
-        return tally[b + 2 : 2 * b + 2] - tally[b:0:-1]
-
-    def well_formed(self, payloads):
-        return (payloads != 0) & (np.abs(payloads) <= self.bins)
+        slots = np.clip(payloads, -b - 1, b + 1)
+        slots += b + 1
+        t = np.bincount(slots, minlength=2 * b + 3)
+        return t[b + 2 : 2 * b + 2] - t[b:0:-1], int(t[0] + t[b + 1] + t[-1])
 
     def error_bound(self, epsilon, beta):
         per_token = dlap_threshold(epsilon / self.per_user, 1, beta / self.bins)
@@ -359,11 +358,6 @@ class CountProtocol(_TokenProtocol):
     def _data_tokens(self, xs):
         owner = np.repeat(np.arange(xs.size), xs)
         return owner, np.ones(owner.size, dtype=np.int64)
-
-    def analyze(self, payloads):
-        if not self.well_formed(payloads).all():
-            raise ProtocolError("count analyzer expects +-1 tokens")
-        return int(payloads.sum())
 
     def bits_per_msg(self):
         return 2

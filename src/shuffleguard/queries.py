@@ -151,43 +151,38 @@ def value_norm(q: Query, v: QueryValue) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def range_diameter(q: Query, n: int) -> float:
-    """Diameter of the query's output set over all size-n datasets."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if q.kind is QueryKind.SUM:
-        return float(n * q.domain_size)
-    # Count under l1, Histogram/RangeTree under l_inf all have diameter n.
-    return float(n)
-
-
-
-
 def _hist_dis(rows: np.ndarray, n: int) -> np.ndarray:
-    """Per row, the smallest t such that some valid n-total histogram is
-    within l_inf t of it.
+    """Per row v, the smallest integer t >= 0 such that some histogram h
+    of total n (h >= 0) lies within l_inf distance t of v.
 
-    Feasibility of a given t is monotone: each coordinate may be clamped to
-    [max(0, b-t), b+t] (nonnegative), so t works iff every coordinate
-    admits a nonnegative value and the reachable totals bracket n. One
-    binary search runs over all rows at once.
+    For a given t, coordinate i may take any integer in
+    [max(0, v_i - t), v_i + t], so t is feasible iff every range is
+    nonempty (t >= -min v) and the reachable totals bracket n:
+
+        L(t) = sum_i max(v_i - t, 0) <= n <= sum_i max(v_i + t, 0) = U(t).
+
+    Sort v in descending order and let c_k be the sum of its k largest
+    entries. A sum of positive parts is the largest sum over subsets, and
+    the best subset of each size k is the top k, so
+    L(t) = max(0, max_k (c_k - k t)) and U(t) = max(0, max_k (c_k + k t)).
+    Hence L(t) <= n iff t >= ceil((c_k - n) / k) for every k, and, for
+    n > 0, U(t) >= n iff t >= ceil((n - c_k) / k) for some k (for n = 0
+    it always holds). Each condition is a lower bound on t, so
+
+        t* = max(0, -min v, max_k ceil((c_k - n) / k),
+                 min_k ceil((n - c_k) / k)),
+
+    the last term dropped when n = 0. All rows are computed at once.
     """
-    low = rows.min(axis=1)
-
-    def feasible(t: np.ndarray) -> np.ndarray:
-        reach_lo = np.maximum(rows - t[:, None], 0).sum(axis=1)
-        reach_hi = np.maximum(rows + t[:, None], 0).sum(axis=1)
-        return (low + t >= 0) & (reach_lo <= n) & (n <= reach_hi)
-
-    # Per row, hi is feasible and lo is either -1 or infeasible.
-    lo = np.full(rows.shape[0], -1, dtype=np.int64)
-    hi = np.abs(rows).max(axis=1) + n + 1
-    while (open_ := hi - lo > 1).any():
-        mid = (lo + hi) // 2
-        ok = feasible(mid)
-        hi = np.where(open_ & ok, mid, hi)
-        lo = np.where(open_ & ~ok, mid, lo)
-    return hi
+    c = np.cumsum(np.sort(rows, axis=1)[:, ::-1], axis=1)
+    k = np.arange(1, rows.shape[1] + 1)
+    # ceil(a / k) is (a + k - 1) // k for integers a and k > 0.
+    dis = np.maximum(
+        np.maximum(0, -rows.min(axis=1)), ((c - n + k - 1) // k).max(axis=1)
+    )
+    if n > 0:
+        dis = np.maximum(dis, ((n - c + k - 1) // k).min(axis=1))
+    return dis
 
 
 def dis_to_range(q: Query, n: int, v) -> float | np.ndarray:

@@ -51,7 +51,7 @@ CONFIGS = {
 
 SUMMARY_FIELDS = (
     "lam", "abs_error", "rel_error_pct", "msgs_per_user", "bits_per_msg",
-    "detection_rate",
+    "detection_rate", "rejected_msgs", "malformed_msgs",
 )
 
 

@@ -167,16 +167,17 @@ class TestRunTrial:
         "attack,k", [("none", 0), ("flood", 1), ("drop", 1), ("impersonate", 1)]
     )
     def test_analyze_runs_once_per_accepted_adversary_envelope(self, attack, k):
-        # Honest traffic is folded per level; only adversary envelopes
-        # that bear a provisioned token meet the per-envelope analyzer.
+        # Honest traffic is drawn per level as a tally; only adversary
+        # envelopes that bear a provisioned token meet the per-envelope
+        # fold.
         cfg = ExperimentConfig(
             query="hist", u=3, protocol="hsdp", n=64, k=k, attack=attack,
             trials=1, seed=5,
         )
         plan = build_plan(cfg)
         calls = []
-        analyze = plan.base.analyze
-        plan.base.analyze = lambda payloads: calls.append(1) or analyze(payloads)
+        fold = plan.base.fold
+        plan.base.fold = lambda payloads: calls.append(1) or fold(payloads)
         run_trial(cfg, 0, plan=plan)
         accepted = {"none": 0, "impersonate": 0}.get(attack, len(plan.levels))
         assert len(calls) == accepted
@@ -355,6 +356,14 @@ class TestCli:
         conf.write_text(json.dumps({"bogus": 1}))
         assert main(["run", "--config", str(conf)]) == 2
 
+    def test_unknown_protocol_in_config_is_one_line(self, tmp_path, capsys):
+        from shuffleguard.cli import main
+
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"protocol": "x"}))
+        assert main(["run", "--config", str(conf), "--n", "16"]) == 2
+        assert capsys.readouterr().err == "error: unknown protocol 'x'\n"
+
     @pytest.mark.parametrize("text", ["{\"n\": 64,", "[1, 2]"])
     def test_malformed_config_is_one_line(self, tmp_path, text, capsys):
         from shuffleguard.cli import main
@@ -383,20 +392,40 @@ class TestCli:
              "--values expects a number, got 'x'"),
             (["sweep", "--axis", "n", "--values", "64,0"],
              "--n must be an integer of at least 1, got 0"),
+            (["run", "--config", {"eps": "x"}],
+             "--eps must be a positive number, got 'x'"),
+            (["run", "--config", {"k": 1.5}],
+             "--k must be an integer of at least 0, got 1.5"),
+            (["run", "--eps", "nan"], "--eps must be a positive number, got nan"),
+            (["run", "--seed", "-1"],
+             "--seed must be an integer of at least 0, got -1"),
+            (["run", "--khat", "-1"],
+             "--khat must be an integer of at least 0, got -1"),
+            (["run", "--delta", "0"], "--delta must be a number in (0, 1), got 0.0"),
         ],
         ids=[
             "lambda-foo", "lambda-0", "attack-msgs-negative", "n-0",
             "n-negative", "trials-0", "sweep-values-a", "sweep-eps-x",
-            "sweep-n-0",
+            "sweep-n-0", "config-eps-str", "config-k-fraction", "eps-nan",
+            "seed-negative", "khat-negative", "delta-0",
         ],
     )
-    def test_bad_ingress_is_one_line(self, argv, needle, capsys, monkeypatch):
+    def test_bad_ingress_is_one_line(
+        self, argv, needle, tmp_path, capsys, monkeypatch
+    ):
         from shuffleguard.cli import main
 
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran on bad input")
 
         monkeypatch.setattr(harness, "run_trial", no_trials)
+        conf = tmp_path / "c.json"
+        argv = list(argv)
+        for i, arg in enumerate(argv):
+            if isinstance(arg, dict):
+                # A config file's value is not parsed by argparse.
+                conf.write_text(json.dumps(arg))
+                argv[i] = str(conf)
         rc = main([
             argv[0], "--protocol", "ohsdp", "--n", "64", "--trials", "2",
             *argv[1:],
@@ -404,6 +433,22 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--n", "foo"], ["sweep", "--axis", "x", "--values", "1"],
+         ["run", "--bogus"], []],
+        ids=["n-foo", "sweep-axis-x", "unknown-flag", "no-command"],
+    )
+    def test_flag_errors_are_one_line(self, argv, capsys):
+        from shuffleguard.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
 
     def test_range_accepts_tree_hist_base(self, capsys):

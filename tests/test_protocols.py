@@ -178,9 +178,15 @@ class TestHist:
         )
 
     def test_out_of_domain_dropped_and_tallied(self):
+        # fold leaves codes outside the bins out and counts them; the
+        # strict analyzer refuses them.
         proto = hist_proto(u=1)
-        out = proto.analyze(np.asarray([1, 5, -9]))
-        np.testing.assert_array_equal(out, [1, 0])
+        payloads = np.asarray([1, 5, -9])
+        row, malformed = proto.fold(payloads)
+        np.testing.assert_array_equal(row, [1, 0])
+        assert malformed == 2
+        with pytest.raises(ProtocolError):
+            proto.analyze(payloads)
 
     def test_degenerate_u0_counts_bin0(self):
         proto = hist_proto(u=0)
@@ -250,10 +256,60 @@ def test_analyze_ignores_order(proto, codes, data):
     # because every analyzer is a symmetric fold over the multiset.
     payloads = data.draw(st.lists(codes(proto), max_size=40))
     shuffled = data.draw(st.permutations(payloads))
-    np.testing.assert_array_equal(
-        proto.analyze(np.asarray(shuffled, dtype=np.int64)),
-        proto.analyze(np.asarray(payloads, dtype=np.int64)),
+    row, malformed = proto.fold(np.asarray(shuffled, dtype=np.int64))
+    want_row, want_malformed = proto.fold(np.asarray(payloads, dtype=np.int64))
+    np.testing.assert_array_equal(row, want_row)
+    assert malformed == want_malformed
+
+
+def _in_alphabet(proto, payloads):
+    """The alphabet of each protocol, written out independently."""
+    if isinstance(proto, CountProtocol):
+        return np.abs(payloads) == 1
+    if isinstance(proto, SumProtocol):
+        return (payloads >= 0) & (payloads < proto.modulus)
+    return (payloads != 0) & (payloads >= -proto.bins) & (payloads <= proto.bins)
+
+
+def _edge_of_alphabet(proto):
+    """int64 payloads, many of them at or next to the alphabet's edges."""
+    top = proto.modulus if isinstance(proto, SumProtocol) else proto.bins
+    return st.one_of(
+        st.integers(-(2**63), 2**63 - 1),
+        st.integers(-top - 2, top + 2),
+        st.sampled_from(
+            [-(2**63), -top - 1, -top, -1, 0, 1, top - 1, top, 2**63 - 1]
+        ),
     )
+
+
+@pytest.mark.parametrize(
+    "proto",
+    [count_proto(), sum_proto(), hist_proto(), range_proto()],
+    ids=["count", "sum", "hist", "range"],
+)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fold_leaves_out_and_counts_malformed(proto, data):
+    # Any int64 payloads: fold is the fold of the in-alphabet ones plus
+    # the count of the rest, and the strict analyzer raises exactly when
+    # that count is nonzero.
+    payloads = np.asarray(
+        data.draw(st.lists(_edge_of_alphabet(proto), max_size=40)),
+        dtype=np.int64,
+    )
+    ok = _in_alphabet(proto, payloads)
+    row, malformed = proto.fold(payloads)
+    want_row, kept_malformed = proto.fold(payloads[ok])
+    assert row.dtype == np.int64 and row.shape == (proto.query.num_bins,)
+    np.testing.assert_array_equal(row, want_row)
+    assert kept_malformed == 0
+    assert malformed == np.count_nonzero(~ok)
+    if malformed:
+        with pytest.raises(ProtocolError):
+            proto.analyze(payloads)
+    else:
+        np.testing.assert_array_equal(proto.analyze(payloads), proto.finish(row))
 
 
 @pytest.mark.parametrize(
@@ -308,9 +364,9 @@ def test_sum_tally_exact_at_largest_modulus():
     # only matches after reduction mod q.
     assert (tally >= q).any()
     # Fold a residue-heavy envelope into group 0 the way run_trial does:
-    # analyzed on its own and added to the row.
+    # its fold row is added to the row.
     envelope = np.full(5000, q - 1, dtype=np.int64)
-    tally[0] += proto.analyze(envelope)
+    tally[0] += proto.fold(envelope)[0]
     payloads[0] = np.concatenate([payloads[0], envelope])
     assert proto.finish(tally)[:, 0].tolist() == [
         proto.analyze(p) for p in payloads

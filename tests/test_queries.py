@@ -12,10 +12,9 @@ from shuffleguard.queries import (
     Dataset,
     Query,
     QueryKind,
+    _hist_dis,
     dis_to_range,
     eval_query,
-    range_diameter,
-    value_norm,
 )
 
 COUNT = Query(QueryKind.COUNT)
@@ -85,41 +84,6 @@ def test_union_preserving_random_splits_count():
         ) + eval_query(COUNT, values[~mask])
 
 
-class TestDiameter:
-    def test_count(self):
-        assert range_diameter(COUNT, 7) == 7
-
-    def test_sum(self):
-        assert range_diameter(sum_q(5), 3) == 15
-
-    def test_hist_linf(self):
-        assert range_diameter(hist(4), 6) == 6
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            range_diameter(COUNT, -1)
-
-    @pytest.mark.parametrize("u", [1, 2, 3])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
-    def test_matches_bruteforce(self, n, u):
-        for q in (sum_q(u), hist(u), tree(u)):
-            outputs = [
-                np.asarray(eval_query(q, list(vals)))
-                for vals in itertools.combinations_with_replacement(
-                    range(u + 1), n
-                )
-            ]
-            worst = max(
-                (
-                    value_norm(q, a - b) if q.kind is not QueryKind.SUM
-                    else abs(int(a) - int(b))
-                )
-                for a in outputs
-                for b in outputs
-            )
-            assert range_diameter(q, n) == worst
-
-
 class TestDisToRange:
     def test_count_above(self):
         assert dis_to_range(COUNT, 4, 5) == 1
@@ -169,3 +133,27 @@ class TestDisToRange:
             assert dis_to_range(q, n, v) == oracle
             oracles.append(oracle)
         np.testing.assert_array_equal(dis_to_range(q, n, rows), oracles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 40).flatmap(
+        lambda w: st.lists(
+            st.lists(st.integers(-1000, 1000), min_size=w, max_size=w),
+            min_size=1, max_size=5,
+        )
+    ),
+    n=st.integers(0, 64),
+)
+def test_hist_dis_is_least_feasible_t(rows, n):
+    # t is feasible iff every coordinate has a nonnegative value within t
+    # and the totals reachable within t bracket n; scan t = 0, 1, ...
+    rows = np.asarray(rows, dtype=np.int64)
+    t = np.arange(np.abs(rows).max() + n + 1)[:, None, None]
+    feasible = (
+        (rows.min(axis=1) + t[:, :, 0] >= 0)
+        & (np.maximum(rows - t, 0).sum(axis=2) <= n)
+        & (np.maximum(rows + t, 0).sum(axis=2) >= n)
+    )
+    assert feasible[-1].all()
+    np.testing.assert_array_equal(_hist_dis(rows, n), feasible.argmax(axis=0))
