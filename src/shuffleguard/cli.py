@@ -18,14 +18,16 @@ from dataclasses import fields
 
 from .errors import ParameterError, ShuffleguardError
 from .harness import (
-    _METRIC_COLS,
+    CHOICES,
+    METRIC_COLS,
+    SWEEP_FIELDS,
     ExperimentConfig,
     emit,
     run_experiment,
     summary_row,
     sweep,
 )
-from .protocols import _DEFAULT_BASE
+from .protocols import DEFAULT_BASE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,11 +40,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with defaults for any flag")
-    p.add_argument("--query", choices=["count", "sum", "hist", "range"])
-    p.add_argument(
-        "--protocol", choices=["base", "susdp", "bsdp", "hsdp", "ohsdp"]
-    )
-    p.add_argument("--base", choices=list(_DEFAULT_BASE.values()))
+    p.add_argument("--query", choices=CHOICES["query"])
+    p.add_argument("--protocol", choices=CHOICES["protocol"])
+    p.add_argument("--base", choices=list(DEFAULT_BASE.values()))
     p.add_argument("--n", type=int)
     p.add_argument("--u", type=int)
     p.add_argument("--eps", type=float)
@@ -51,18 +51,16 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", help="bottom group size or 'auto'")
     p.add_argument("--k", type=int)
     p.add_argument("--khat", dest="k_hat", type=int)
-    p.add_argument(
-        "--attack", choices=["none", "flood", "drop", "alter", "impersonate"]
-    )
+    p.add_argument("--attack", choices=CHOICES["attack"])
     p.add_argument("--attack-msgs", dest="attack_msgs", type=int)
-    p.add_argument("--dist", choices=["unif", "zipf", "gauss"])
+    p.add_argument("--dist", choices=CHOICES["dist"])
     p.add_argument("--data", help="CSV dataset path (overrides --dist)")
     p.add_argument("--col", help="CSV column name or index")
     p.add_argument("--cap", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output file path")
-    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--format", choices=CHOICES["format"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,9 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(run_p)
     sweep_p = sub.add_parser("sweep", help="sweep one parameter axis")
     _add_common_flags(sweep_p)
-    sweep_p.add_argument(
-        "--axis", choices=["lambda", "k", "eps", "n"], required=True
-    )
+    sweep_p.add_argument("--axis", choices=list(SWEEP_FIELDS), required=True)
     sweep_p.add_argument(
         "--values", required=True,
         help="comma-separated axis values, e.g. 8,16,32",
@@ -94,9 +90,10 @@ def _number(convert, text, flag: str):
 
 
 def _coerce_lam(v):
-    if v is None or v == "auto":
-        return v
-    return _number(int, v, "--lambda")
+    """Text (``--lambda 8``) as an int; ExperimentConfig checks the rest."""
+    if isinstance(v, str) and v != "auto":
+        return _number(int, v, "--lambda")
+    return v
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -125,7 +122,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def _print_summaries(summaries) -> None:
     rows = [summary_row(s) for s in summaries]
-    head = ["protocol", "query", "n", "lam", "k", "attack", *_METRIC_COLS]
+    head = ["protocol", "query", "n", "lam", "k", "attack", *METRIC_COLS]
     print("\t".join(head))
     for row in rows:
         cells = []

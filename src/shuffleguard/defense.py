@@ -22,6 +22,9 @@ Variants:
   - hsdp:  a binary tree over single users (log n + 1 levels).
   - ohsdp: hsdp with the bottom |group| raised to lambda, trading
            worst-case dropped-group error for far fewer shufflers.
+
+A variant gives only its group sizes and its budget share; ``_plan``
+builds every plan from them by the rules stated in its docstring.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import ParameterError, StructureError
 from .protocols import BaseProtocol, PrivacyBudget
-from .queries import Query, QueryKind, dis_to_range
+from .queries import Query, dis_to_range
 from .runtime import Envelope, TokenTable
 
 
@@ -118,28 +121,50 @@ class TreePlan:
         return max(1, math.ceil(math.log2(self.num_shufflers)))
 
 
-def _level(r, size, n, eps, delta, beta, base) -> LevelPlan:
-    return LevelPlan(
-        r=r,
-        group_size=size,
-        num_groups=n // size,
-        budget=PrivacyBudget(eps, delta, beta),
-        theta=base.error_bound(eps, beta),
-    )
+def _plan(
+    variant: Variant, base: BaseProtocol, n: int, total: PrivacyBudget,
+    sizes: list[int], share=None, lam: int = 1, k_hat: int = 1,
+) -> TreePlan:
+    """The plan whose level i (bottom first) has groups of ``sizes[i]``.
+
+    A one-level plan spends the whole budget, and its groups split beta
+    evenly. Otherwise level i spends ``share(epsilon, i)`` and
+    ``share(delta, i)``; the top level takes beta/2, and each lower node
+    beta / (2 * the number of lower nodes). Level i's threshold theta is
+    ``base.error_bound(epsilon_i, beta_i)``.
+    """
+    top = len(sizes) - 1
+    lower = sum(n // m for m in sizes[:-1])
+    levels = []
+    for i, m in enumerate(sizes):
+        if top == 0:
+            budget = PrivacyBudget(
+                total.epsilon, total.delta, total.beta / (n // m)
+            )
+        else:
+            budget = PrivacyBudget(
+                share(total.epsilon, i), share(total.delta, i),
+                total.beta / 2 if i == top else total.beta / (2 * lower),
+            )
+        levels.append(LevelPlan(
+            r=i + 1, group_size=m, num_groups=n // m, budget=budget,
+            theta=base.error_bound(budget.epsilon, budget.beta),
+        ))
+    return TreePlan(variant, base, n, lam, k_hat, total, tuple(levels))
 
 
 def plan_base(base: BaseProtocol, n, epsilon, delta, beta) -> TreePlan:
     """The undefended protocol: one shuffler, full budget, no detection."""
-    lvl = _level(1, n, n, epsilon, delta, beta, base)
-    return TreePlan(Variant.BASE, base, n, n, 0, PrivacyBudget(epsilon, delta, beta), (lvl,))
+    total = PrivacyBudget(epsilon, delta, beta)
+    return _plan(Variant.BASE, base, n, total, [n], lam=n, k_hat=0)
 
 
 def plan_susdp(base: BaseProtocol, n, epsilon, delta, beta) -> TreePlan:
     """Single-user groups at full budget; thresholds take a beta/n share."""
     if n < 1:
         raise ParameterError("need at least one user")
-    lvl = _level(1, 1, n, epsilon, delta, beta / n, base)
-    return TreePlan(Variant.SUSDP, base, n, 1, 1, PrivacyBudget(epsilon, delta, beta), (lvl,))
+    total = PrivacyBudget(epsilon, delta, beta)
+    return _plan(Variant.SUSDP, base, n, total, [1])
 
 
 def plan_bsdp(base: BaseProtocol, n, epsilon, delta, beta) -> TreePlan:
@@ -147,21 +172,14 @@ def plan_bsdp(base: BaseProtocol, n, epsilon, delta, beta) -> TreePlan:
     s = math.isqrt(n)
     if s * s != n:
         raise ParameterError(f"n={n} must be a perfect square")
-    beta_low = beta / (2 * (s + n))
-    levels = (
-        _level(1, 1, n, epsilon / 3, delta / 3, beta_low, base),
-        _level(
-            2, s, n,
-            epsilon / 3 * (s - 1) / s, delta / 3 * (s - 1) / s,
-            beta_low, base,
-        ),
-        _level(
-            3, n, n,
-            epsilon / 3 * (n - 1) / n, delta / 3 * (n - 1) / n,
-            beta / 2, base,
-        ),
-    )
-    return TreePlan(Variant.BSDP, base, n, 1, 1, PrivacyBudget(epsilon, delta, beta), levels)
+    sizes = [1, s, n]
+
+    def share(x, i):
+        m = sizes[i]
+        return x / 3 if i == 0 else x / 3 * (m - 1) / m
+
+    total = PrivacyBudget(epsilon, delta, beta)
+    return _plan(Variant.BSDP, base, n, total, sizes, share)
 
 
 def plan_hsdp(base: BaseProtocol, n, epsilon, delta, beta) -> TreePlan:
@@ -173,32 +191,18 @@ def plan_hsdp(base: BaseProtocol, n, epsilon, delta, beta) -> TreePlan:
     """
     if n < 1 or n & (n - 1):
         raise ParameterError(f"n={n} must be a power of two")
-    if n == 1:
-        return TreePlan(
-            Variant.HSDP, base, 1, 1, 1, PrivacyBudget(epsilon, delta, beta),
-            (_level(1, 1, 1, epsilon, delta, beta, base),),
-        )
     logn = n.bit_length() - 1
-    beta_low = beta / (2 * (2 * n - 2))
-    levels = []
-    for r in range(1, logn + 1):
-        m = 1 << (r - 1)
-        f = 1.0 if r == 1 else (m - 1) / m
-        levels.append(
-            _level(
-                r, m, n,
-                epsilon / (2 * logn) * f, delta / (2 * logn) * f,
-                beta_low, base,
-            )
-        )
-    levels.append(
-        _level(
-            logn + 1, n, n,
-            epsilon / 2 * (n - 1) / n, delta / 2 * (n - 1) / n,
-            beta / 2, base,
-        )
-    )
-    return TreePlan(Variant.HSDP, base, n, 1, 1, PrivacyBudget(epsilon, delta, beta), tuple(levels))
+    sizes = [1 << r for r in range(logn)] + [n]
+
+    def share(x, i):
+        m = sizes[i]
+        if i == logn:
+            return x / 2 * (m - 1) / m
+        f = 1.0 if i == 0 else (m - 1) / m
+        return x / (2 * logn) * f
+
+    total = PrivacyBudget(epsilon, delta, beta)
+    return _plan(Variant.HSDP, base, n, total, sizes, share)
 
 
 def plan_ohsdp(
@@ -209,7 +213,8 @@ def plan_ohsdp(
     With a public corruption bound k_hat > 1, every level's budget is
     discounted by (c - k_hat)/c for its group size c, so that privacy
     survives k_hat silent noise-droppers per group. Requires lam > 2*k_hat:
-    each bottom group must keep an honest majority.
+    each bottom group must keep an honest majority. With lam = n the plan
+    is one group, the raw base protocol at the full budget.
     """
     if n < 1 or lam < 1 or n % lam:
         raise ParameterError(f"lam={lam} must divide n={n}")
@@ -222,52 +227,36 @@ def plan_ohsdp(
             f"k_hat={k_hat} attackers (lam > 2*k_hat)"
         )
     big_l = width.bit_length()  # log2(n/lam) + 1
-    if big_l == 1:
-        # Degenerate single-group plan: behaves exactly like the raw
-        # base protocol at the full budget.
-        lvl = _level(1, n, n, epsilon, delta, beta, base)
-        return TreePlan(Variant.OHSDP, base, n, lam, k_hat, PrivacyBudget(epsilon, delta, beta), (lvl,))
+    sizes = [lam << r for r in range(big_l - 1)] + [n]
 
-    def discount(c: int, default: float) -> float:
+    def share(x, i):
+        c = sizes[i]
         if k_hat >= 2:
-            return (c - k_hat) / c
-        return default
+            f = (c - k_hat) / c
+        elif i == big_l - 1:
+            f = (n - 1) / n
+        else:
+            f = 1.0 if i == 0 else 1 - 2.0 ** -i
+        return x / (2 if i == big_l - 1 else 2 * big_l) * f
 
-    beta_low = beta / (2 * (2 * width - 2))
-    levels = []
-    for r in range(1, big_l):
-        c = lam << (r - 1)
-        f = discount(c, 1.0 if r == 1 else (1 - 2.0 ** -(r - 1)))
-        levels.append(
-            _level(
-                r, c, n,
-                epsilon / (2 * big_l) * f, delta / (2 * big_l) * f,
-                beta_low, base,
-            )
-        )
-    f_top = discount(n, (n - 1) / n)
-    levels.append(
-        _level(
-            big_l, n, n,
-            epsilon / 2 * f_top, delta / 2 * f_top,
-            beta / 2, base,
-        )
-    )
-    return TreePlan(Variant.OHSDP, base, n, lam, k_hat, PrivacyBudget(epsilon, delta, beta), tuple(levels))
+    total = PrivacyBudget(epsilon, delta, beta)
+    return _plan(Variant.OHSDP, base, n, total, sizes, share, lam, k_hat)
+
+
+_PLANS = {
+    Variant.BASE: plan_base,
+    Variant.SUSDP: plan_susdp,
+    Variant.BSDP: plan_bsdp,
+    Variant.HSDP: plan_hsdp,
+}
 
 
 def make_plan(
     variant: Variant, base, n, epsilon, delta, beta, lam=1, k_hat=1
 ) -> TreePlan:
-    if variant is Variant.BASE:
-        return plan_base(base, n, epsilon, delta, beta)
-    if variant is Variant.SUSDP:
-        return plan_susdp(base, n, epsilon, delta, beta)
-    if variant is Variant.BSDP:
-        return plan_bsdp(base, n, epsilon, delta, beta)
-    if variant is Variant.HSDP:
-        return plan_hsdp(base, n, epsilon, delta, beta)
-    return plan_ohsdp(base, n, epsilon, delta, beta, lam, k_hat)
+    if variant is Variant.OHSDP:
+        return plan_ohsdp(base, n, epsilon, delta, beta, lam, k_hat)
+    return _PLANS[variant](base, n, epsilon, delta, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +350,7 @@ def detect(plan: TreePlan, levels: list[np.ndarray]) -> tuple:
         for g in np.flatnonzero(~ok)
     ]
     out = rec.sum(axis=0)
-    if q.kind in (QueryKind.COUNT, QueryKind.SUM):
+    if q.scalar:
         out = int(out[0])
     return out, DetectionReport(flagged=flagged)
 

@@ -32,12 +32,20 @@ from .queries import (
 )
 from .runtime import provision
 
-_KINDS = {
-    "count": QueryKind.COUNT,
-    "sum": QueryKind.SUM,
-    "hist": QueryKind.HISTOGRAM,
-    "range": QueryKind.RANGE_TREE,
+#: The names each name-valued config field accepts. ``base`` is not
+#: here: its one name per query kind is ``protocols.DEFAULT_BASE``.
+CHOICES = {
+    "query": tuple(kind.value for kind in QueryKind),
+    "protocol": tuple(variant.value for variant in Variant),
+    "attack": ("none", "flood", "drop", "alter", "impersonate"),
+    "dist": ("unif", "zipf", "gauss"),
+    "format": ("csv", "json"),
 }
+
+
+def _is_int(value) -> bool:
+    # bool is an Integral, but True is no count of users.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -68,31 +76,37 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Checked at ingress, before any randomization, since a config
-        # file may hold any JSON value: n = 0 would divide by zero in
-        # planning, trials = 0 would summarize no trial as a row of nans,
-        # NaN passes every `<=` check, and a string or a fraction where an
-        # integer belongs would fail deep inside a trial.
+        # file may hold any JSON value: a misspelt attack would run as no
+        # attack, n = 0 would divide by zero in planning, trials = 0 would
+        # summarize no trial as a row of nans, NaN passes every `<=`
+        # check, and a string, bool or fraction where an integer belongs
+        # would fail deep inside a trial.
+        for name, names in CHOICES.items():
+            if getattr(self, name) not in names:
+                raise ParameterError(f"unknown {name} {getattr(self, name)!r}")
         ints = [
             ("--n", self.n, 1), ("--trials", self.trials, 1),
             ("--k", self.k, 0), ("--seed", self.seed, 0),
         ]
-        # Left at None, these take a default that depends on other fields.
+        # Left at None or "auto", these take a default that depends on
+        # other fields.
         ints += [
-            (flag, value, 0)
-            for flag, value in (
-                ("--attack-msgs", self.attack_msgs), ("--khat", self.k_hat),
-                ("--cap", self.cap),
+            (flag, value, least)
+            for flag, value, least in (
+                ("--attack-msgs", self.attack_msgs, 0),
+                ("--khat", self.k_hat, 0), ("--cap", self.cap, 0),
+                ("--lambda", self.lam, 1),
             )
-            if value is not None
+            if value not in (None, "auto")
         ]
         for flag, value, least in ints:
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            if not (_is_int(value) and value >= least):
                 raise ParameterError(
                     f"{flag} must be an integer of at least {least}, "
                     f"got {value!r}"
                 )
         # U's range is left to make_query, whose errors name the query.
-        if not isinstance(self.u, numbers.Integral):
+        if not _is_int(self.u):
             raise ParameterError(f"--u must be an integer, got {self.u!r}")
         # eps_eff is eps unless eps is None; delta None means n^-2.
         if not (isinstance(self.eps_eff, numbers.Real) and self.eps_eff > 0):
@@ -123,14 +137,13 @@ class ExperimentConfig:
         return self.k_hat if self.k_hat is not None else max(1, self.k)
 
     def make_query(self) -> Query:
-        if self.query not in _KINDS:
-            raise ParameterError(f"unknown query {self.query!r}")
         if self.query == "sum" and self.u < 1:
             # U is the sum protocol's sensitivity: U = 0 sets no noise scale.
             raise ParameterError(
                 f"--u must be at least 1 for sum, got {self.u}"
             )
-        return Query(_KINDS[self.query], 1 if self.query == "count" else self.u)
+        kind = QueryKind(self.query)
+        return Query(kind, 1 if kind is QueryKind.COUNT else self.u)
 
 
 def auto_lambda(n: int, delta: float) -> int:
@@ -208,17 +221,12 @@ def experiment_dataset(config: ExperimentConfig) -> Dataset:
     return ds
 
 
-def build_plan(config: ExperimentConfig, lam: int | None = None) -> TreePlan:
-    q = config.make_query()
-    base = make_base(q, config.n, config.base)
-    if config.protocol not in {v.value for v in Variant}:
-        raise ParameterError(f"unknown protocol {config.protocol!r}")
-    variant = Variant(config.protocol)
+def build_plan(config: ExperimentConfig) -> TreePlan:
+    base = make_base(config.make_query(), config.n, config.base)
     return make_plan(
-        variant, base, config.n,
+        Variant(config.protocol), base, config.n,
         config.eps_eff, config.delta_eff, config.beta,
-        lam=lam if lam is not None else resolve_lambda(config),
-        k_hat=config.k_hat_eff,
+        lam=resolve_lambda(config), k_hat=config.k_hat_eff,
     )
 
 
@@ -233,9 +241,7 @@ def make_strategy(config: ExperimentConfig, plan: TreePlan):
         return adv.DropNoise()
     if config.attack == "alter":
         return adv.AlterInput(forged=plan.query.max_input)
-    if config.attack == "impersonate":
-        return adv.Impersonate(msgs=msgs)
-    raise ParameterError(f"unknown attack {config.attack!r}")
+    return adv.Impersonate(msgs=msgs)
 
 
 def run_trial(
@@ -298,7 +304,7 @@ def run_trial(
 
     truth = eval_query(q, xs)
     abs_error = value_norm(q, estimate - truth)
-    if q.kind in (QueryKind.COUNT, QueryKind.SUM):
+    if q.scalar:
         normalizer = abs(float(truth))
     else:
         normalizer = float(config.n)
@@ -338,22 +344,22 @@ def run_experiment(config: ExperimentConfig) -> Summary:
     )
 
 
-_SWEEP_FIELDS = {"lambda": "lam", "k": "k", "eps": "eps", "n": "n"}
+SWEEP_FIELDS = {"lambda": "lam", "k": "k", "eps": "eps", "n": "n"}
 
 
 def sweep(config: ExperimentConfig, axis: str, values) -> list[Summary]:
     """One experiment per axis value, re-planning each time; every value's
     config is checked before the first experiment runs."""
-    if axis not in _SWEEP_FIELDS:
+    if axis not in SWEEP_FIELDS:
         raise ParameterError(f"unknown sweep axis {axis!r}")
-    configs = [replace(config, **{_SWEEP_FIELDS[axis]: v}) for v in values]
+    configs = [replace(config, **{SWEEP_FIELDS[axis]: v}) for v in values]
     return [run_experiment(c) for c in configs]
 
 
 # ---------------------------------------------------------------------------
 # emission
 
-_METRIC_COLS = (
+METRIC_COLS = (
     "rejected_msgs", "malformed_msgs", "abs_error", "rel_error_pct",
     "msgs_per_user", "bits_per_msg", "detection_rate", "mean_wall_time_s",
 )
@@ -372,7 +378,7 @@ def summary_row(s: Summary) -> dict:
     row["delta"] = s.config.delta_eff
     row["k_hat"] = s.config.k_hat_eff
     row["lam"] = s.lam
-    for col in _METRIC_COLS:
+    for col in METRIC_COLS:
         row[col] = getattr(s, col)
     return row
 

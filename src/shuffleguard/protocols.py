@@ -188,7 +188,7 @@ class BaseProtocol:
         if malformed:
             raise ProtocolError(f"{malformed} payloads outside the alphabet")
         est = self.finish(row)
-        if self.query.kind in (QueryKind.COUNT, QueryKind.SUM):
+        if self.query.scalar:
             return int(est[0])
         return est
 
@@ -396,7 +396,8 @@ class RangeTreeProtocol(_TokenProtocol):
         return owner, np.stack(cols, axis=1).reshape(-1)
 
 
-_DEFAULT_BASE = {
+#: The base protocol of each query kind, by name.
+DEFAULT_BASE = {
     QueryKind.COUNT: "dlap-count",
     QueryKind.SUM: "splitmix-sum",
     QueryKind.HISTOGRAM: "perbin-hist",
@@ -406,8 +407,8 @@ _DEFAULT_BASE = {
 
 def make_base(query: Query, n: int, name: str | None = None) -> BaseProtocol:
     """Build the base protocol for a query (by name, or the query's default)."""
-    name = name or _DEFAULT_BASE[query.kind]
-    if name != _DEFAULT_BASE[query.kind]:
+    name = name or DEFAULT_BASE[query.kind]
+    if name != DEFAULT_BASE[query.kind]:
         raise ParameterError(
             f"base protocol {name!r} does not fit {query.kind.value}"
         )

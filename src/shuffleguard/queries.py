@@ -35,9 +35,6 @@ class QueryKind(enum.Enum):
     RANGE_TREE = "range"
 
 
-_SCALAR_KINDS = (QueryKind.COUNT, QueryKind.SUM)
-
-
 @lru_cache(maxsize=None)
 def _tree_layout(domain_size: int) -> tuple[tuple[int, int, int], ...]:
     """Dyadic levels over {0..U}, padded to a power of two.
@@ -77,13 +74,18 @@ class Query:
             )
 
     @property
+    def scalar(self) -> bool:
+        """Whether the answer is one number (count and sum), not a vector."""
+        return self.kind in (QueryKind.COUNT, QueryKind.SUM)
+
+    @property
     def max_input(self) -> int:
         return 1 if self.kind is QueryKind.COUNT else self.domain_size
 
     @property
     def num_bins(self) -> int:
         """Length of the (flattened) value vector; 1 for scalar queries."""
-        if self.kind in _SCALAR_KINDS:
+        if self.scalar:
             return 1
         if self.kind is QueryKind.HISTOGRAM:
             return self.domain_size + 1
@@ -131,7 +133,7 @@ def eval_query(q: Query, d) -> QueryValue:
     """Exact (non-private) query answer."""
     values = _as_values(d)
     check_domain(q, values)
-    if q.kind in _SCALAR_KINDS:
+    if q.scalar:
         return int(values.sum())
     if q.kind is QueryKind.HISTOGRAM:
         return np.bincount(values, minlength=q.num_bins).astype(np.int64)
@@ -145,7 +147,7 @@ def eval_query(q: Query, d) -> QueryValue:
 
 def value_norm(q: Query, v: QueryValue) -> float:
     """The query's detection norm: |.| for scalars, max |.| for vectors."""
-    if q.kind in _SCALAR_KINDS:
+    if q.scalar:
         return abs(float(v))
     v = np.asarray(v)
     return float(np.max(np.abs(v))) if v.size else 0.0
@@ -194,14 +196,14 @@ def dis_to_range(q: Query, n: int, v) -> float | np.ndarray:
     gives one float per row.
     """
     v = np.asarray(v, dtype=np.int64)
-    single = v.ndim == (0 if q.kind in _SCALAR_KINDS else 1)
+    single = v.ndim == (0 if q.scalar else 1)
     rows = v.reshape(1, -1) if single else v
     if rows.ndim != 2 or rows.shape[1] != q.num_bins:
         raise ShapeError(
             f"{q.kind.value} value must be one value or a stack of shape "
             f"(rows, {q.num_bins}), got shape {v.shape}"
         )
-    if q.kind in _SCALAR_KINDS:
+    if q.scalar:
         top = n if q.kind is QueryKind.COUNT else n * q.domain_size
         dis = np.maximum(0, np.maximum(-rows[:, 0], rows[:, 0] - top))
     elif q.kind is QueryKind.HISTOGRAM:

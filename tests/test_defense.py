@@ -5,9 +5,13 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shuffleguard.defense import (
+    Variant,
     analyze,
+    make_plan,
     plan_base,
     plan_bsdp,
     plan_hsdp,
@@ -18,7 +22,7 @@ from shuffleguard.defense import (
 from shuffleguard.errors import ParameterError, StructureError
 from shuffleguard.harness import ExperimentConfig, run_trial
 from shuffleguard.noise import dlap_threshold
-from shuffleguard.protocols import CountProtocol
+from shuffleguard.protocols import CountProtocol, make_base
 from shuffleguard.queries import Query, QueryKind
 from shuffleguard.runtime import Envelope, provision
 
@@ -140,6 +144,47 @@ class TestPlans:
             for beta in (0.4, 0.2, 0.1, 0.05)
         ]
         assert thetas_beta == sorted(thetas_beta)
+
+
+@st.composite
+def plan_args(draw):
+    """A variant, a valid (n, lam, k_hat) for it, and a budget."""
+    variant = draw(st.sampled_from(list(Variant)))
+    lam, k_hat = 1, 1
+    if variant is Variant.BSDP:
+        n = draw(st.integers(2, 64)) ** 2
+    elif variant is Variant.HSDP:
+        n = 1 << draw(st.integers(0, 12))
+    elif variant is Variant.OHSDP:
+        k_hat = draw(st.integers(0, 5))
+        lam = draw(st.integers(2 * k_hat + 1, 64))
+        n = lam << draw(st.integers(0, 8))
+    else:
+        n = draw(st.integers(1, 4096))
+    kind = draw(st.sampled_from(
+        [QueryKind.COUNT, QueryKind.SUM, QueryKind.HISTOGRAM]
+    ))
+    base = make_base(Query(kind, draw(st.integers(1, 9))), n)
+    eps = draw(st.floats(1e-3, 20))
+    delta = draw(st.floats(1e-12, 0.99))
+    beta = draw(st.floats(1e-6, 0.99))
+    return variant, base, n, eps, delta, beta, lam, k_hat
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=plan_args())
+def test_budget_invariants(args):
+    variant, base, n, eps, delta, beta, lam, k_hat = args
+    plan = make_plan(variant, base, n, eps, delta, beta, lam=lam, k_hat=k_hat)
+    slack = 1e-9
+    assert sum(lp.budget.epsilon for lp in plan.levels) <= eps + slack
+    assert sum(lp.budget.delta for lp in plan.levels) <= delta + slack
+    # Every node's threshold may fail with its own beta_i: a union bound.
+    assert sum(lp.num_groups * lp.budget.beta for lp in plan.levels) <= (
+        beta + slack
+    )
+    for lp in plan.levels:
+        assert lp.theta == base.error_bound(lp.budget.epsilon, lp.budget.beta)
 
 
 class TestGroupOf:

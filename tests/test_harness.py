@@ -379,7 +379,8 @@ class TestCli:
         "argv,needle",
         [
             (["run", "--lambda", "foo"], "--lambda expects a number, got 'foo'"),
-            (["run", "--lambda", "0", "--khat", "0"], "lam=0 must divide"),
+            (["run", "--lambda", "0", "--khat", "0"],
+             "--lambda must be an integer of at least 1, got 0"),
             (["run", "--attack-msgs", "-1"], "--attack-msgs must be an integer"
              " of at least 0, got -1"),
             (["run", "--n", "0"], "--n must be an integer of at least 1, got 0"),
@@ -402,38 +403,58 @@ class TestCli:
             (["run", "--khat", "-1"],
              "--khat must be an integer of at least 0, got -1"),
             (["run", "--delta", "0"], "--delta must be a number in (0, 1), got 0.0"),
+            (["run", "--config", {"lam": 1.5}],
+             "--lambda must be an integer of at least 1, got 1.5"),
+            (["run", "--config", {"n": True}],
+             "--n must be an integer of at least 1, got True"),
+            (["run", "--config", {"query": "x"}], "unknown query 'x'"),
+            (["run", "--config", {"protocol": "x"}], "unknown protocol 'x'"),
+            (["run", "--config", {"attack": "bogus"}],
+             "unknown attack 'bogus'"),
+            (["run", "--config", {"dist": "x"}], "unknown dist 'x'"),
+            (["run", "--config", {"format": "xml", "out": "out.xml"}],
+             "unknown format 'xml'"),
         ],
         ids=[
             "lambda-foo", "lambda-0", "attack-msgs-negative", "n-0",
             "n-negative", "trials-0", "sweep-values-a", "sweep-eps-x",
             "sweep-n-0", "config-eps-str", "config-k-fraction", "eps-nan",
-            "seed-negative", "khat-negative", "delta-0",
+            "seed-negative", "khat-negative", "delta-0", "config-lam-fraction",
+            "config-n-bool", "config-query", "config-protocol",
+            "config-attack", "config-dist", "config-format",
         ],
     )
     def test_bad_ingress_is_one_line(
         self, argv, needle, tmp_path, capsys, monkeypatch
     ):
-        from shuffleguard.cli import main
+        from shuffleguard import cli
 
-        def no_trials(*args, **kwargs):
-            raise AssertionError("a trial ran on bad input")
+        def no_experiment(*args, **kwargs):
+            raise AssertionError("an experiment started on bad input")
 
-        monkeypatch.setattr(harness, "run_trial", no_trials)
-        conf = tmp_path / "c.json"
+        # sweep runs its experiments through harness.run_experiment.
+        monkeypatch.setattr(cli, "run_experiment", no_experiment)
+        monkeypatch.setattr(harness, "run_experiment", no_experiment)
+        monkeypatch.chdir(tmp_path)
+        common = {"protocol": "ohsdp", "n": 64, "trials": 2}
         argv = list(argv)
         for i, arg in enumerate(argv):
             if isinstance(arg, dict):
-                # A config file's value is not parsed by argparse.
-                conf.write_text(json.dumps(arg))
+                # A config file's value is not parsed by argparse, and a
+                # flag would override it, so the common values go in the
+                # file too.
+                conf = tmp_path / "c.json"
+                conf.write_text(json.dumps({**common, **arg}))
                 argv[i] = str(conf)
-        rc = main([
-            argv[0], "--protocol", "ohsdp", "--n", "64", "--trials", "2",
-            *argv[1:],
+                common = {}
+        rc = cli.main([
+            argv[0], *(f"--{k}={v}" for k, v in common.items()), *argv[1:],
         ])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err
         assert len(err.splitlines()) == 1
+        assert {p.name for p in tmp_path.iterdir()} <= {"c.json"}
 
     @pytest.mark.parametrize(
         "argv",
