@@ -22,12 +22,12 @@ from .harness import (
     METRIC_COLS,
     SWEEP_FIELDS,
     ExperimentConfig,
+    _fmt,
     emit,
     run_experiment,
     summary_row,
     sweep,
 )
-from .protocols import DEFAULT_BASE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,7 +42,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with defaults for any flag")
     p.add_argument("--query", choices=CHOICES["query"])
     p.add_argument("--protocol", choices=CHOICES["protocol"])
-    p.add_argument("--base", choices=list(DEFAULT_BASE.values()))
     p.add_argument("--n", type=int)
     p.add_argument("--u", type=int)
     p.add_argument("--eps", type=float)
@@ -125,11 +124,7 @@ def _print_summaries(summaries) -> None:
     head = ["protocol", "query", "n", "lam", "k", "attack", *METRIC_COLS]
     print("\t".join(head))
     for row in rows:
-        cells = []
-        for c in head:
-            v = row[c]
-            cells.append(f"{v:.6g}" if isinstance(v, float) else str(v))
-        print("\t".join(cells))
+        print("\t".join(_fmt(row[c]) for c in head))
 
 
 def main(argv=None) -> int:

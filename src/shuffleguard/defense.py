@@ -169,6 +169,10 @@ def plan_susdp(base: BaseProtocol, n, epsilon, delta, beta) -> TreePlan:
 
 def plan_bsdp(base: BaseProtocol, n, epsilon, delta, beta) -> TreePlan:
     """Three levels of sizes 1, sqrt(n), n with an even three-way eps split."""
+    if n < 4:
+        # Below sqrt(n) = 2 the middle level is the bottom one again, and
+        # its budget share (s - 1)/s is 0.
+        raise ParameterError(f"bsdp needs n >= 4 (sqrt(n) >= 2), got n={n}")
     s = math.isqrt(n)
     if s * s != n:
         raise ParameterError(f"n={n} must be a perfect square")

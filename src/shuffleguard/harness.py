@@ -32,8 +32,7 @@ from .queries import (
 )
 from .runtime import provision
 
-#: The names each name-valued config field accepts. ``base`` is not
-#: here: its one name per query kind is ``protocols.DEFAULT_BASE``.
+#: The names each name-valued config field accepts.
 CHOICES = {
     "query": tuple(kind.value for kind in QueryKind),
     "protocol": tuple(variant.value for variant in Variant),
@@ -55,7 +54,6 @@ class ExperimentConfig:
     query: str = "count"
     u: int = 1
     protocol: str = "ohsdp"
-    base: str | None = None
     n: int = 1 << 12
     eps: float | None = None
     delta: float | None = None
@@ -113,10 +111,12 @@ class ExperimentConfig:
             raise ParameterError(
                 f"--eps must be a positive number, got {self.eps!r}"
             )
-        fractions = [("--beta", self.beta)]
-        if self.delta is not None:
-            fractions.append(("--delta", self.delta))
-        for flag, value in fractions:
+        if self.delta is None and not self.delta_eff < 1:
+            raise ParameterError(
+                f"--delta must be given at n = {self.n}: its default n^-2 "
+                f"= {self.delta_eff!r} is out of range (0, 1)"
+            )
+        for flag, value in (("--beta", self.beta), ("--delta", self.delta_eff)):
             if not (isinstance(value, numbers.Real) and 0 < value < 1):
                 raise ParameterError(
                     f"{flag} must be a number in (0, 1), got {value!r}"
@@ -222,7 +222,7 @@ def experiment_dataset(config: ExperimentConfig) -> Dataset:
 
 
 def build_plan(config: ExperimentConfig) -> TreePlan:
-    base = make_base(config.make_query(), config.n, config.base)
+    base = make_base(config.make_query(), config.n)
     return make_plan(
         Variant(config.protocol), base, config.n,
         config.eps_eff, config.delta_eff, config.beta,

@@ -3,14 +3,16 @@
 Each protocol fixes a payload alphabet encoded as plain int64 codes so that
 whole levels can be randomized and analyzed with vectorized numpy calls:
 
-  - dlap-count:   codes +1 / -1 (signed unary tokens).
-  - splitmix-sum: codes in [0, q) (additive residues mod q).
-  - perbin-hist:  codes +-(bin+1); sign is the token sign, |code|-1 the bin.
-  - tree-hist:    perbin-hist codes over the flattened dyadic-interval bins.
+  - count: codes +1 / -1 (signed unary tokens).
+  - sum:   codes in [0, q) (additive residues mod q).
+  - hist:  codes +-(bin+1); sign is the token sign, |code|-1 the bin.
+  - range: hist codes over the flattened dyadic-interval bins.
 
-Count, hist and tree are one token protocol (``_TokenProtocol``) with
-``bins`` bins and ``per_user`` data tokens per user: count is the one-bin
-case, whose code +1 is also the +1 of a signed unary token. They share
+Count, hist and range are one token protocol (``_TokenProtocol``) over
+the query's ``num_bins`` bins: count is the one-bin case, whose code +1
+is also the +1 of a signed unary token, and range sends one data token
+per tree level. Which bins a user's data tokens raise is
+``queries.bins_of``, the one definition of the bin layout. They share
 one randomizer, one per-bin tally, one fold and one set of cost
 descriptors.
 
@@ -56,7 +58,7 @@ import numpy as np
 
 from .errors import ParameterError, ProtocolError
 from .noise import dlap_threshold, nb_sample, noise_base
-from .queries import Query, QueryKind, QueryValue
+from .queries import Query, QueryKind, QueryValue, bins_of
 
 #: Shares each user splits its input into under splitmix-sum.
 SUM_SHARES = 3
@@ -117,8 +119,6 @@ def _honest_per_group(
 
 class BaseProtocol:
     """Common interface: level-wide randomization and a pure analyzer fold."""
-
-    name: str
 
     def __init__(self, query: Query):
         self.query = query
@@ -212,7 +212,6 @@ class BaseProtocol:
 class SumProtocol(BaseProtocol):
     """Split-and-mix residues mod q with DLap(e^-eps/U) group noise."""
 
-    name = "splitmix-sum"
     shares = SUM_SHARES
 
     def __init__(self, query: Query, n: int):
@@ -281,22 +280,19 @@ class SumProtocol(BaseProtocol):
 
 
 class _TokenProtocol(BaseProtocol):
-    """Signed per-bin tokens: codes +-(bin+1) over ``bins`` bins.
+    """Signed per-bin tokens: codes +-(bin+1) over the query's bins.
 
-    Each user sends ``per_user`` data tokens and, for every bin and sign,
-    an NB(1/m, p) share of noise tokens; the budget is split evenly over
-    the data tokens, so p = e^-(eps/per_user).
+    Each user sends a data token for each bin ``bins_of`` names for its
+    value (``per_user`` of them, at most) and, for every bin and sign, an
+    NB(1/m, p) share of noise tokens; the budget is split evenly over the
+    data tokens, so p = e^-(eps/per_user).
     """
 
-    def __init__(self, query: Query, bins: int, per_user: int = 1):
+    def __init__(self, query: Query, per_user: int = 1):
         super().__init__(query)
-        self.bins = bins
+        self.bins = query.num_bins
         self.per_user = per_user
-        self.top = np.arange(1, bins + 1, dtype=np.int64)
-
-    def _data_tokens(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(owner, code) of every data token: owner indexes ``xs``."""
-        raise NotImplementedError
+        self.top = np.arange(1, self.bins + 1, dtype=np.int64)
 
     def _noise_p(self, epsilon: float) -> float:
         return noise_base(epsilon / self.per_user, 1)
@@ -312,8 +308,8 @@ class _TokenProtocol(BaseProtocol):
         user_group = np.arange(xs.size) // (xs.size // ng)
         if honest is not None:
             xs, user_group = xs[honest], user_group[honest]
-        owner, codes = self._data_tokens(xs)
-        cell = user_group[owner] * self.bins + codes - 1
+        owner, col = bins_of(self.query, xs)
+        cell = user_group[owner] * self.bins + col
         data = np.bincount(cell, minlength=ng * self.bins).reshape(ng, self.bins)
         return np.hstack([pos + data, neg])
 
@@ -350,72 +346,17 @@ class _TokenProtocol(BaseProtocol):
 class CountProtocol(_TokenProtocol):
     """Signed unary tokens: one +1 per set bit, DLap(e^-eps) group noise."""
 
-    name = "dlap-count"
-
-    def __init__(self, query: Query):
-        super().__init__(query, bins=1)
-
-    def _data_tokens(self, xs):
-        owner = np.repeat(np.arange(xs.size), xs)
-        return owner, np.ones(owner.size, dtype=np.int64)
-
     def bits_per_msg(self):
         return 2
 
 
-class HistProtocol(_TokenProtocol):
-    """One data token plus independent per-bin signed noise tokens."""
-
-    name = "perbin-hist"
-
-    def __init__(self, query: Query):
-        super().__init__(query, query.domain_size + 1)
-
-    def _data_tokens(self, xs):
-        return np.arange(xs.size), xs + 1
-
-
-class RangeTreeProtocol(_TokenProtocol):
-    """Per-bin histogram tokens over the flattened dyadic-interval bins.
-
-    The per-node budget is split evenly across the tree levels; each user
-    sends one data token per level (the interval containing its value).
-    """
-
-    name = "tree-hist"
-
-    def __init__(self, query: Query):
-        super().__init__(query, query.num_bins, len(query.tree_levels))
-
-    def _data_tokens(self, xs):
-        cols = [
-            offset + (xs >> shift) + 1
-            for offset, _, shift in self.query.tree_levels
-        ]
-        owner = np.repeat(np.arange(xs.size), self.per_user)
-        return owner, np.stack(cols, axis=1).reshape(-1)
-
-
-#: The base protocol of each query kind, by name.
-DEFAULT_BASE = {
-    QueryKind.COUNT: "dlap-count",
-    QueryKind.SUM: "splitmix-sum",
-    QueryKind.HISTOGRAM: "perbin-hist",
-    QueryKind.RANGE_TREE: "tree-hist",
-}
-
-
-def make_base(query: Query, n: int, name: str | None = None) -> BaseProtocol:
-    """Build the base protocol for a query (by name, or the query's default)."""
-    name = name or DEFAULT_BASE[query.kind]
-    if name != DEFAULT_BASE[query.kind]:
-        raise ParameterError(
-            f"base protocol {name!r} does not fit {query.kind.value}"
-        )
+def make_base(query: Query, n: int) -> BaseProtocol:
+    """The base protocol of a query: split-and-mix for sum, the token
+    protocol for count, hist and range (one data token per tree level)."""
     if query.kind is QueryKind.COUNT:
         return CountProtocol(query)
     if query.kind is QueryKind.SUM:
         return SumProtocol(query, n)
     if query.kind is QueryKind.HISTOGRAM:
-        return HistProtocol(query)
-    return RangeTreeProtocol(query)
+        return _TokenProtocol(query)
+    return _TokenProtocol(query, per_user=len(query.tree_levels))

@@ -11,6 +11,10 @@ Supported queries:
   - Histogram: inputs in {0..U}, (U+1)-bin tally, l_inf geometry.
   - RangeTree: inputs in {0..U}, stacked dyadic-interval tallies (one
                histogram per tree level, flattened), l_inf geometry.
+
+Count, hist and range answers are tallies: each input raises some bins by
+one unit. ``bins_of`` is the one place that says which bins; ``eval_query``
+and the token protocols' data tokens both read it.
 """
 
 from __future__ import annotations
@@ -129,20 +133,38 @@ def check_domain(q: Query, values: np.ndarray) -> None:
         )
 
 
+def bins_of(q: Query, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (owner, bin) of every unit that in-domain ``values`` add to a
+    count, hist or range answer: ``owner`` indexes ``values`` and ``bin``
+    is the flattened bin the unit raises.
+
+      - count: x units in bin 0 for the value x;
+      - hist:  one unit in bin x;
+      - range: one unit per tree level, in bin offset + (x >> shift).
+    """
+    if q.kind is QueryKind.COUNT:
+        owner = np.repeat(np.arange(values.size), values)
+        return owner, np.zeros(owner.size, dtype=np.int64)
+    if q.kind is QueryKind.HISTOGRAM:
+        return np.arange(values.size), values
+    if q.kind is QueryKind.RANGE_TREE:
+        levels = q.tree_levels
+        owner = np.repeat(np.arange(values.size), len(levels))
+        bins = np.stack(
+            [offset + (values >> shift) for offset, _, shift in levels], axis=1
+        )
+        return owner, bins.reshape(-1)
+    raise ShapeError(f"{q.kind.value} answers are not tallies of bins")
+
+
 def eval_query(q: Query, d) -> QueryValue:
     """Exact (non-private) query answer."""
     values = _as_values(d)
     check_domain(q, values)
     if q.scalar:
         return int(values.sum())
-    if q.kind is QueryKind.HISTOGRAM:
-        return np.bincount(values, minlength=q.num_bins).astype(np.int64)
-    out = np.zeros(q.num_bins, dtype=np.int64)
-    for offset, width, shift in q.tree_levels:
-        out[offset : offset + width] = np.bincount(
-            values >> shift, minlength=width
-        )
-    return out
+    _, bins = bins_of(q, values)
+    return np.bincount(bins, minlength=q.num_bins).astype(np.int64)
 
 
 def value_norm(q: Query, v: QueryValue) -> float:

@@ -17,7 +17,6 @@ from shuffleguard.defense import plan_hsdp, plan_ohsdp, randomize_all
 from shuffleguard.errors import DomainError, ParameterError
 from shuffleguard.protocols import (
     CountProtocol,
-    HistProtocol,
     SumProtocol,
     make_base,
 )
@@ -81,7 +80,7 @@ class TestFlooding:
             np.testing.assert_array_equal(e.payloads, [10, 10, 10])
 
     def test_flood_hist_every_bin(self):
-        base = HistProtocol(Query(QueryKind.HISTOGRAM, 2))
+        base = make_base(Query(QueryKind.HISTOGRAM, 2), 4)
         plan = plan_hsdp(base, 4, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
         envs = malicious_envelopes(

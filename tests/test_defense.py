@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from shuffleguard.defense import (
     Variant,
     analyze,
+    detect,
     make_plan,
     plan_base,
     plan_bsdp,
@@ -23,7 +24,7 @@ from shuffleguard.errors import ParameterError, StructureError
 from shuffleguard.harness import ExperimentConfig, run_trial
 from shuffleguard.noise import dlap_threshold
 from shuffleguard.protocols import CountProtocol, make_base
-from shuffleguard.queries import Query, QueryKind
+from shuffleguard.queries import Query, QueryKind, dis_to_range, eval_query
 from shuffleguard.runtime import Envelope, provision
 
 INF = math.inf
@@ -76,8 +77,10 @@ class TestPlans:
         assert plan.levels[0].budget.beta == pytest.approx(0.1 / (2 * (3 + 9)))
 
     def test_bsdp_rejects_nonsquare(self):
-        with pytest.raises(ParameterError):
-            plan_bsdp(count_base(), 8, 1.0, 0.01, 0.1)
+        # n = 1 is square, but sqrt(n) = 1 leaves the middle level no budget.
+        for n in (8, 1):
+            with pytest.raises(ParameterError):
+                plan_bsdp(count_base(), n, 1.0, 0.01, 0.1)
 
     def test_hsdp_structure(self):
         plan = plan_hsdp(count_base(), 8, 1.0, 0.01, 0.1)
@@ -147,23 +150,24 @@ class TestPlans:
 
 
 @st.composite
-def plan_args(draw):
-    """A variant, a valid (n, lam, k_hat) for it, and a budget."""
+def plan_args(
+    draw, log_n=12, kinds=(QueryKind.COUNT, QueryKind.SUM, QueryKind.HISTOGRAM)
+):
+    """A variant, a valid (n, lam, k_hat) for it, and a budget; no level
+    has more than 2^log_n groups."""
     variant = draw(st.sampled_from(list(Variant)))
     lam, k_hat = 1, 1
     if variant is Variant.BSDP:
-        n = draw(st.integers(2, 64)) ** 2
+        n = draw(st.integers(2, 1 << (log_n // 2))) ** 2
     elif variant is Variant.HSDP:
-        n = 1 << draw(st.integers(0, 12))
+        n = 1 << draw(st.integers(0, log_n))
     elif variant is Variant.OHSDP:
         k_hat = draw(st.integers(0, 5))
         lam = draw(st.integers(2 * k_hat + 1, 64))
-        n = lam << draw(st.integers(0, 8))
+        n = lam << draw(st.integers(0, log_n - 4))
     else:
-        n = draw(st.integers(1, 4096))
-    kind = draw(st.sampled_from(
-        [QueryKind.COUNT, QueryKind.SUM, QueryKind.HISTOGRAM]
-    ))
+        n = draw(st.integers(1, 1 << log_n))
+    kind = draw(st.sampled_from(kinds))
     base = make_base(Query(kind, draw(st.integers(1, 9))), n)
     eps = draw(st.floats(1e-3, 20))
     delta = draw(st.floats(1e-12, 0.99))
@@ -185,6 +189,72 @@ def test_budget_invariants(args):
     )
     for lp in plan.levels:
         assert lp.theta == base.error_bound(lp.budget.epsilon, lp.budget.beta)
+
+
+@st.composite
+def detect_args(draw):
+    """A small plan of any variant and query, and per-level estimates:
+    each group's true answer off by up to a few of its level's thresholds,
+    so that some nodes pass and some are flagged."""
+    variant, base, n, eps, delta, beta, lam, k_hat = draw(
+        plan_args(log_n=7, kinds=list(QueryKind))
+    )
+    plan = make_plan(variant, base, n, eps, delta, beta, lam=lam, k_hat=k_hat)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.integers(0, plan.query.max_input + 1, size=n)
+    levels = []
+    for lp in plan.levels:
+        truth = np.stack([
+            np.atleast_1d(eval_query(plan.query, group))
+            for group in xs.reshape(lp.num_groups, lp.group_size)
+        ])
+        off = draw(st.integers(0, 3 * lp.theta + 2))
+        levels.append(truth + rng.integers(-off, off + 1, size=truth.shape))
+    return plan, levels
+
+
+def recover(plan, levels, r, g, flagged):
+    """Node (r, g)'s recovered value, by the rules alone; appends the node
+    to ``flagged`` if it is flagged."""
+    lp = plan.levels[r - 1]
+    est = levels[r - 1][g - 1]
+    if r == 1:
+        bad = plan.detects and (
+            dis_to_range(plan.query, lp.group_size, est[None])[0] > lp.theta
+        )
+        value = np.zeros_like(est) if bad else est
+    else:
+        c = plan.num_children(r)
+        kids = [
+            recover(plan, levels, r - 1, (g - 1) * c + j, flagged)
+            for j in range(1, c + 1)
+        ]
+        child_sum = sum(kids)
+        bad = any((r - 1, (g - 1) * c + j) in flagged for j in range(1, c + 1))
+        bad = bad or np.abs(est - child_sum).max() > plan.pair_threshold(r)
+        value = child_sum if bad else est
+    if bad:
+        flagged.append((r, g))
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=detect_args())
+def test_detect_matches_recursive_oracle(args):
+    # An unflagged node keeps its estimate, a flagged bottom node gives 0,
+    # a flagged upper node the sum of its children's recovered values.
+    plan, levels = args
+    top = plan.levels[-1]
+    flagged = []
+    want = sum(
+        recover(plan, levels, top.r, g, flagged)
+        for g in range(1, top.num_groups + 1)
+    )
+    out, report = detect(plan, levels)
+    if plan.query.scalar:
+        want = int(want[0])
+    np.testing.assert_array_equal(out, want)
+    assert sorted(report.flagged) == sorted(flagged)
 
 
 class TestGroupOf:

@@ -414,6 +414,10 @@ class TestCli:
             (["run", "--config", {"dist": "x"}], "unknown dist 'x'"),
             (["run", "--config", {"format": "xml", "out": "out.xml"}],
              "unknown format 'xml'"),
+            (["run", "--protocol", "base", "--n", "1"],
+             "--delta must be given at n = 1: its default n^-2 = 1.0 is out"
+             " of range (0, 1)"),
+            (["run", "--config", {"n": 1}], "--delta must be given at n = 1"),
         ],
         ids=[
             "lambda-foo", "lambda-0", "attack-msgs-negative", "n-0",
@@ -421,7 +425,8 @@ class TestCli:
             "sweep-n-0", "config-eps-str", "config-k-fraction", "eps-nan",
             "seed-negative", "khat-negative", "delta-0", "config-lam-fraction",
             "config-n-bool", "config-query", "config-protocol",
-            "config-attack", "config-dist", "config-format",
+            "config-attack", "config-dist", "config-format", "n-1-delta",
+            "config-n-1-delta",
         ],
     )
     def test_bad_ingress_is_one_line(
@@ -459,8 +464,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [["run", "--n", "foo"], ["sweep", "--axis", "x", "--values", "1"],
-         ["run", "--bogus"], []],
-        ids=["n-foo", "sweep-axis-x", "unknown-flag", "no-command"],
+         ["run", "--bogus"], [], ["run", "--base", "tree-hist"]],
+        ids=["n-foo", "sweep-axis-x", "unknown-flag", "no-command", "base"],
     )
     def test_flag_errors_are_one_line(self, argv, capsys):
         from shuffleguard.cli import main
@@ -476,9 +481,8 @@ class TestCli:
         from shuffleguard.cli import main
 
         rc = main([
-            "run", "--query", "range", "--u", "3", "--base", "tree-hist",
-            "--protocol", "ohsdp", "--n", "16", "--lambda", "4",
-            "--trials", "2",
+            "run", "--query", "range", "--u", "3", "--protocol", "ohsdp",
+            "--n", "16", "--lambda", "4", "--trials", "2",
         ])
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("ohsdp\trange")

@@ -12,8 +12,6 @@ from shuffleguard.errors import ParameterError, ProtocolError
 from shuffleguard.noise import dlap_threshold, noise_base
 from shuffleguard.protocols import (
     CountProtocol,
-    HistProtocol,
-    RangeTreeProtocol,
     SumProtocol,
     PrivacyBudget,
     make_base,
@@ -32,7 +30,7 @@ def sum_proto(u=10, n=100):
 
 
 def hist_proto(u=3):
-    return HistProtocol(Query(QueryKind.HISTOGRAM, u))
+    return make_base(Query(QueryKind.HISTOGRAM, u), 1)
 
 
 class TestBudget:
@@ -213,7 +211,7 @@ class TestHist:
 class TestRangeTree:
     def test_noiseless_codes(self):
         q = Query(QueryKind.RANGE_TREE, 3)
-        proto = RangeTreeProtocol(q)
+        proto = make_base(q, 1)
         rng = np.random.default_rng(0)
         out = proto.randomize(3, INF, 1, rng)
         # bins: level0 offset 0 (bin 3), level1 offset 4 (bin 1), root offset 6
@@ -221,7 +219,7 @@ class TestRangeTree:
 
     def test_analyze_matches_eval(self):
         q = Query(QueryKind.RANGE_TREE, 3)
-        proto = RangeTreeProtocol(q)
+        proto = make_base(q, 4)
         rng = np.random.default_rng(1)
         xs = np.asarray([0, 1, 3, 3], dtype=np.int64)
         groups, _ = proto.randomize_level(xs, INF, 4, rng, ng=1)
@@ -231,7 +229,7 @@ class TestRangeTree:
 
 
 def range_proto(u=3):
-    return RangeTreeProtocol(Query(QueryKind.RANGE_TREE, u))
+    return make_base(Query(QueryKind.RANGE_TREE, u), 1)
 
 
 def _token_codes(proto):
@@ -470,11 +468,9 @@ def test_token_descriptors_match_closed_forms(eps, beta, u, m):
 
 class TestFactory:
     def test_defaults(self):
-        assert make_base(Query(QueryKind.COUNT), 10).name == "dlap-count"
-        assert make_base(Query(QueryKind.SUM, 5), 10).name == "splitmix-sum"
-        assert make_base(Query(QueryKind.HISTOGRAM, 5), 10).name == "perbin-hist"
-        assert make_base(Query(QueryKind.RANGE_TREE, 5), 10).name == "tree-hist"
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ParameterError):
-            make_base(Query(QueryKind.COUNT), 10, "splitmix-sum")
+        assert type(make_base(Query(QueryKind.COUNT), 10)) is CountProtocol
+        assert type(make_base(Query(QueryKind.SUM, 5), 10)) is SumProtocol
+        hist = make_base(Query(QueryKind.HISTOGRAM, 5), 10)
+        assert (hist.bins, hist.per_user) == (6, 1)
+        tree = make_base(Query(QueryKind.RANGE_TREE, 5), 10)
+        assert (tree.bins, tree.per_user) == (15, 4)

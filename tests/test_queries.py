@@ -13,6 +13,7 @@ from shuffleguard.queries import (
     Query,
     QueryKind,
     _hist_dis,
+    bins_of,
     dis_to_range,
     eval_query,
 )
@@ -72,6 +73,60 @@ def test_union_preserving(values, data):
         left = eval_query(q, values[:cut])
         right = eval_query(q, values[cut:])
         assert np.all(total == left + right)
+
+
+def _units(q, x):
+    """The bins one value raises, one entry per unit, with the dyadic range
+    tree (singletons up to the root over {0..U}, padded to a power of
+    two) written out independently of ``tree_levels``."""
+    if q.kind is QueryKind.COUNT:
+        return [0] * x
+    if q.kind is QueryKind.HISTOGRAM:
+        return [x]
+    width = 1
+    while width < q.domain_size + 1:
+        width *= 2
+    units, offset, length = [], 0, 1
+    while width >= 1:
+        units.append(offset + x // length)
+        offset, width, length = offset + width, width // 2, length * 2
+    return units
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.builds(
+        Query,
+        st.sampled_from(
+            [QueryKind.COUNT, QueryKind.HISTOGRAM, QueryKind.RANGE_TREE]
+        ),
+        st.integers(0, 40),
+    ),
+    data=st.data(),
+)
+def test_bins_of_matches_per_value_oracle(q, data):
+    values = np.asarray(
+        data.draw(st.lists(st.integers(0, q.max_input), max_size=30)),
+        dtype=np.int64,
+    )
+    owner, bins = bins_of(q, values)
+    oracle = [_units(q, int(x)) for x in values]
+    want = np.zeros(q.num_bins, dtype=np.int64)
+    for units in oracle:
+        for b in units:
+            want[b] += 1
+    np.testing.assert_array_equal(np.bincount(bins, minlength=q.num_bins), want)
+    if q.kind is QueryKind.COUNT:
+        per_owner = values
+    else:
+        per_owner = len(q.tree_levels) if q.kind is QueryKind.RANGE_TREE else 1
+    np.testing.assert_array_equal(
+        np.bincount(owner, minlength=values.size),
+        np.broadcast_to(per_owner, values.shape),
+    )
+    # Each unit belongs to the value that raised it.
+    for i, units in enumerate(oracle):
+        assert sorted(bins[owner == i].tolist()) == sorted(units)
 
 
 def test_union_preserving_random_splits_count():
