@@ -66,16 +66,12 @@ class Impersonate:
     """Try to inject messages into a group the attacker is not a member of,
     using a guessed token (rejected by the shuffler with near certainty)."""
 
-    msgs: int = 1
+    msgs: int
 
 
 @dataclass(frozen=True)
 class CorruptionSet:
     ids: frozenset[int]
-
-    @property
-    def k(self) -> int:
-        return len(self.ids)
 
 
 def corrupt_users(n: int, k: int, rng: np.random.Generator) -> CorruptionSet:
@@ -87,7 +83,7 @@ def corrupt_users(n: int, k: int, rng: np.random.Generator) -> CorruptionSet:
 
 
 def malicious_envelopes(
-    strategy, user_id: int, plan: TreePlan, tokens: TokenTable, rng, x: int = 0
+    strategy, user_id: int, plan: TreePlan, tokens: TokenTable, rng, x: int
 ) -> list[Envelope]:
     """One corrupted user's full output for a run.
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .queries import Dataset
 
 log = logging.getLogger(__name__)
@@ -17,13 +18,17 @@ log = logging.getLogger(__name__)
 #: sampler terminates on heavy tails without visibly distorting the shape.
 ZIPF_TRUNCATION_FACTOR = 1_000_000
 
+#: The exponent a of the zipf distribution.
+ZIPF_EXPONENT = 1.5
 
-def gen_dataset(dist: str, n: int, domain_size: int, seed, a: float = 1.5) -> Dataset:
+
+def gen_dataset(dist: str, n: int, domain_size: int, seed) -> Dataset:
     """n synthetic values over {0..U} from a named distribution.
 
     - ``unif``:  uniform over the domain.
-    - ``zipf``:  pmf proportional to x^-a (a > 1), folded into the domain
-                 by modulo so that low values keep the greatest mass.
+    - ``zipf``:  pmf proportional to x^-a (a = ``ZIPF_EXPONENT``), folded
+                 into the domain by modulo so that low values keep the
+                 greatest mass.
     - ``gauss``: rounded normal with mu = sigma = U/5, clamped to [0, U].
     """
     rng = np.random.default_rng(seed)
@@ -31,9 +36,9 @@ def gen_dataset(dist: str, n: int, domain_size: int, seed, a: float = 1.5) -> Da
     if dist == "unif":
         values = rng.integers(0, span, size=n)
     elif dist == "zipf":
-        if a <= 1:
-            raise ParameterError("zipf exponent must exceed 1")
-        values = np.minimum(rng.zipf(a, size=n), ZIPF_TRUNCATION_FACTOR * span)
+        values = np.minimum(
+            rng.zipf(ZIPF_EXPONENT, size=n), ZIPF_TRUNCATION_FACTOR * span
+        )
         values = values % span
     elif dist == "gauss":
         mu = domain_size / 5.0
@@ -48,7 +53,8 @@ def load_csv(path, column, cap: int | None = None) -> Dataset:
 
     ``column`` selects by header name or by 0-based index. Non-numeric
     rows (including a header row when selecting by index) are skipped and
-    tallied in a warning.
+    tallied in a warning; a non-finite number (nan, inf, or one too large
+    for a float) is an error naming its row.
     """
     path = Path(path)
     if not path.exists():
@@ -57,6 +63,7 @@ def load_csv(path, column, cap: int | None = None) -> Dataset:
         rows = list(csv.reader(fh))
 
     idx = None
+    first_row = 1  # the file row of rows[0], counting from 1
     if isinstance(column, int) or (isinstance(column, str) and column.isdigit()):
         idx = int(column)
     elif rows:
@@ -64,17 +71,22 @@ def load_csv(path, column, cap: int | None = None) -> Dataset:
         if column in header:
             idx = header.index(column)
             rows = rows[1:]
+            first_row = 2
     if idx is None:
         raise KeyError(f"column {column!r} not found in {path}")
 
     values = []
     skipped = 0
-    for row in rows:
+    for lineno, row in enumerate(rows, start=first_row):
         try:
             v = float(row[idx])
         except (ValueError, IndexError):
             skipped += 1
             continue
+        if not math.isfinite(v):
+            raise DomainError(
+                f"{path} row {lineno}: value {row[idx]!r} is not finite"
+            )
         v = int(round(v))
         if v < 0:
             v = 0

@@ -256,7 +256,7 @@ _PLANS = {
 
 
 def make_plan(
-    variant: Variant, base, n, epsilon, delta, beta, lam=1, k_hat=1
+    variant: Variant, base, n, epsilon, delta, beta, lam, k_hat
 ) -> TreePlan:
     if variant is Variant.OHSDP:
         return plan_ohsdp(base, n, epsilon, delta, beta, lam, k_hat)
@@ -268,10 +268,11 @@ def make_plan(
 
 
 def tally_all(
-    plan: TreePlan, xs: np.ndarray, rng, honest=None
+    plan: TreePlan, xs: np.ndarray, rng, honest: np.ndarray
 ) -> tuple[list[np.ndarray], int]:
     """Every level's honest tally, bottom first, and the total honest
-    message count (for the per-user communication metric).
+    message count (for the per-user communication metric). ``honest`` is
+    the bool mask of the users who randomize their input.
 
     Each tally is the int64 ``(num_groups, bins)`` array of
     ``BaseProtocol.tally_level``; no payload is materialized.
@@ -280,7 +281,7 @@ def tally_all(
     total = 0
     for lp in plan.levels:
         tally, count = plan.base.tally_level(
-            xs, lp.budget.epsilon, lp.group_size, rng, honest=honest
+            xs, lp.budget.epsilon, lp.group_size, rng, honest
         )
         tallies.append(tally)
         total += count
@@ -288,7 +289,7 @@ def tally_all(
 
 
 def randomize_all(
-    plan: TreePlan, xs: np.ndarray, tokens: TokenTable, rng, honest=None
+    plan: TreePlan, xs: np.ndarray, tokens: TokenTable, rng, honest: np.ndarray
 ) -> tuple[list[Envelope], int]:
     """The message-level form of ``tally_all``: the same draws as one
     envelope per tree node, level by level, plus the honest message count."""
@@ -296,7 +297,7 @@ def randomize_all(
     total = 0
     for lp, ids in zip(plan.levels, tokens.levels):
         groups, count = plan.base.randomize_level(
-            xs, lp.budget.epsilon, lp.group_size, rng, honest=honest
+            xs, lp.budget.epsilon, lp.group_size, rng, honest
         )
         total += count
         envelopes.extend(map(Envelope, ids.tolist(), groups))

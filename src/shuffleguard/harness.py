@@ -121,6 +121,14 @@ class ExperimentConfig:
                 raise ParameterError(
                     f"{flag} must be a number in (0, 1), got {value!r}"
                 )
+        # plan_ohsdp refuses this too, but its message names no flag.
+        lam, k_hat = resolve_lambda(self), self.k_hat_eff
+        if self.protocol == "ohsdp" and k_hat >= 1 and lam <= 2 * k_hat:
+            raise ParameterError(
+                f"ohsdp needs --lambda > 2 * --khat for an honest majority "
+                f"in every bottom group, got lambda={lam} (auto caps it at "
+                f"--n={self.n}) and khat={k_hat} (default max(1, --k))"
+            )
 
     @property
     def eps_eff(self) -> float:
@@ -135,6 +143,11 @@ class ExperimentConfig:
     @property
     def k_hat_eff(self) -> int:
         return self.k_hat if self.k_hat is not None else max(1, self.k)
+
+    @property
+    def attack_msgs_eff(self) -> int:
+        """Messages a flood or impersonation sends; n unless given."""
+        return self.attack_msgs if self.attack_msgs is not None else self.n
 
     def make_query(self) -> Query:
         if self.query == "sum" and self.u < 1:
@@ -190,10 +203,14 @@ class Summary:
     mean_wall_time_s: float
 
 
-def trimmed_mean(values, frac: float = 0.1) -> float:
-    """Mean after dropping floor(frac*T) values from each tail."""
+#: The share of values ``trimmed_mean`` drops from each tail.
+TRIM_FRAC = 0.1
+
+
+def trimmed_mean(values) -> float:
+    """Mean after dropping floor(TRIM_FRAC * T) values from each tail."""
     v = np.sort(np.asarray(values, dtype=float))
-    cut = int(frac * v.size)
+    cut = int(TRIM_FRAC * v.size)
     kept = v[cut : v.size - cut] if cut else v
     return float(kept.mean()) if kept.size else float("nan")
 
@@ -234,23 +251,25 @@ def make_strategy(config: ExperimentConfig, plan: TreePlan):
     """The attack instance implied by the config's attack flags."""
     if config.attack == "none" or config.k == 0:
         return None
-    msgs = config.attack_msgs if config.attack_msgs is not None else config.n
     if config.attack == "flood":
-        return adv.Flood(msgs)
+        return adv.Flood(config.attack_msgs_eff)
     if config.attack == "drop":
         return adv.DropNoise()
     if config.attack == "alter":
         return adv.AlterInput(forged=plan.query.max_input)
-    return adv.Impersonate(msgs=msgs)
+    return adv.Impersonate(msgs=config.attack_msgs_eff)
 
 
 def run_trial(
     config: ExperimentConfig,
     trial_index: int,
-    plan: TreePlan | None = None,
-    dataset: Dataset | None = None,
+    plan: TreePlan,
+    dataset: Dataset,
 ) -> TrialResult:
     """One full protocol round: provision, randomize, shuffle, analyze.
+
+    ``plan`` and ``dataset`` are ``build_plan(config)`` and
+    ``experiment_dataset(config)``, built once per experiment.
 
     The round of the message-level API (``make_inboxes``,
     ``randomize_all``, ``submit``, ``shuffle``, ``analyze``) with one
@@ -263,10 +282,6 @@ def run_trial(
     as malformed.
     """
     start = time.perf_counter()
-    if dataset is None:
-        dataset = experiment_dataset(config)
-    if plan is None:
-        plan = build_plan(config)
     q = plan.query
     xs = dataset.values
 
@@ -284,7 +299,7 @@ def run_trial(
         for i in corrupted.ids:
             honest[i - 1] = False
 
-    tallies, honest_msgs = tally_all(plan, xs, rng_honest, honest=honest)
+    tallies, honest_msgs = tally_all(plan, xs, rng_honest, honest)
     rejected_msgs = malformed_msgs = 0
     if strategy is not None:
         for i in sorted(corrupted.ids):
@@ -327,8 +342,7 @@ def run_experiment(config: ExperimentConfig) -> Summary:
     dataset = experiment_dataset(config)
     plan = build_plan(config)
     results = [
-        run_trial(config, t, plan=plan, dataset=dataset)
-        for t in range(config.trials)
+        run_trial(config, t, plan, dataset) for t in range(config.trials)
     ]
     return Summary(
         config=config,
@@ -377,6 +391,7 @@ def summary_row(s: Summary) -> dict:
     row["eps"] = s.config.eps_eff
     row["delta"] = s.config.delta_eff
     row["k_hat"] = s.config.k_hat_eff
+    row["attack_msgs"] = s.config.attack_msgs_eff
     row["lam"] = s.lam
     for col in METRIC_COLS:
         row[col] = getattr(s, col)

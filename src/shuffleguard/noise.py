@@ -58,22 +58,18 @@ def dlap_threshold(epsilon_eff: float, sensitivity: int, beta: float) -> int:
     return t
 
 
-def nb_sample(r, p: float, rng: np.random.Generator, size=None):
+def nb_sample(r, p: float, rng: np.random.Generator, size=None) -> np.ndarray:
     """Negative binomial NB(r, p) with pmf proportional to C(k+r-1, k)(1-p)^r p^k.
 
     Sampled as a Gamma-Poisson mixture so that fractional r (= 1/m noise
     shares) is supported; ``r`` may be an array for batched draws, and
     r = 0 degenerates to the constant 0. At r = 1 this is geometric(p)
-    with mean p/(1-p).
+    with mean p/(1-p). The draws are an int64 array of shape ``size``,
+    or of the shape of ``r`` when ``size`` is None.
     """
-    scalar = size is None and np.ndim(r) == 0
     if np.any(np.asarray(r) < 0):
         raise ParameterError("r must be nonnegative")
     if p <= 0.0:
-        if scalar:
-            return 0
-        shape = np.shape(r) if size is None else size
-        return np.zeros(shape, dtype=np.int64)
+        return np.zeros(np.shape(r) if size is None else size, dtype=np.int64)
     lam = rng.gamma(r, p / (1.0 - p), size=size)
-    draw = rng.poisson(lam)
-    return int(draw) if scalar else np.asarray(draw, dtype=np.int64)
+    return np.asarray(rng.poisson(lam), dtype=np.int64)

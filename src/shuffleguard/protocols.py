@@ -16,7 +16,7 @@ per tree level. Which bins a user's data tokens raise is
 one randomizer, one per-bin tally, one fold and one set of cost
 descriptors.
 
-Noise model: a user in a group of nominal size m contributes NB(1/m, p)
+Noise model: a user in a group of size m contributes NB(1/m, p)
 tokens per sign (per bin, for histograms), so the group aggregate carries
 exactly discrete-Laplace(p) noise — the NB shares are infinitely divisible.
 Because the shares of the honest members of one group are exchangeable and
@@ -30,7 +30,9 @@ Each protocol has one ``fold``: any payloads to an additive int64
 in the alphabet, plus the count of the others. It is symmetric, so
 message order carries nothing. ``finish`` turns rows into estimates (it
 centers sums mod q); ``analyze``, ``finish`` of one fold, is strict.
-A level is drawn once and then takes one of two forms:
+A level is drawn once, from its values ``xs``, its group size m and
+the bool mask ``honest`` of the users who randomize (groups are
+contiguous runs of m users), and then takes one of two forms:
 
   - ``tally_level``: the level's ``(groups, bins)`` tally, whose row g
     finishes as the fold of group g's payloads does, plus the exact
@@ -59,9 +61,6 @@ import numpy as np
 from .errors import ParameterError, ProtocolError
 from .noise import dlap_threshold, nb_sample, noise_base
 from .queries import Query, QueryKind, QueryValue, bins_of
-
-#: Shares each user splits its input into under splitmix-sum.
-SUM_SHARES = 3
 
 
 @dataclass(frozen=True)
@@ -99,22 +98,13 @@ def _emit_codes(counts: np.ndarray) -> tuple[list[np.ndarray], int]:
     return groups, int(payloads.size)
 
 
-def _resolve_groups(nu: int, m: int, ng: int | None) -> int:
-    if ng is None:
-        if m < 1 or nu % m:
-            raise ParameterError(f"{nu} users do not split into groups of {m}")
-        ng = nu // m
-    return ng
-
-
-def _honest_per_group(
-    xs: np.ndarray, honest: np.ndarray | None, ng: int
-) -> np.ndarray:
-    """Honest users per group, groups contiguous."""
-    size = xs.size // ng
-    if honest is None:
-        return np.full(ng, size, dtype=np.int64)
-    return honest.reshape(ng, size).sum(axis=1)
+def _honest_per_group(honest: np.ndarray, m: int) -> np.ndarray:
+    """Honest users per group of m, groups contiguous."""
+    if m < 1 or honest.size % m:
+        raise ParameterError(
+            f"{honest.size} users do not split into groups of {m}"
+        )
+    return honest.reshape(-1, m).sum(axis=1)
 
 
 class BaseProtocol:
@@ -126,10 +116,13 @@ class BaseProtocol:
     # -- randomization -----------------------------------------------------
 
     def randomize(self, x: int, epsilon: float, m: int, rng) -> np.ndarray:
-        """One user's payload codes at budget epsilon in a group of size m."""
-        groups, _ = self.randomize_level(
-            np.asarray([x], dtype=np.int64), epsilon, m, rng, ng=1
-        )
+        """One user's payload codes at budget epsilon in a group of size m:
+        the level draw of one group of m users in which only user 0, who
+        holds x, is honest."""
+        xs = np.zeros(m, dtype=np.int64)
+        xs[0] = x
+        honest = np.arange(m) == 0
+        groups, _ = self.randomize_level(xs, epsilon, m, rng, honest)
         return groups[0]
 
     def randomize_level(
@@ -138,16 +131,15 @@ class BaseProtocol:
         epsilon: float,
         m: int,
         rng,
-        honest: np.ndarray | None = None,
-        ng: int | None = None,
+        honest: np.ndarray,
     ) -> tuple[list[np.ndarray], int]:
-        """Payloads for one tree level of contiguous equal-sized groups.
+        """Payloads for one tree level of contiguous groups of m users.
 
-        ``m`` is the nominal group size that sets each user's noise share
-        (r = 1/m); ``ng`` overrides the group count for partial groups.
-        Users with ``honest`` false contribute neither data nor noise
-        (their behavior is supplied by the adversary module). Returns one
-        payload array per group plus the total honest message count.
+        ``m`` is the group size, which also sets each user's noise share
+        (r = 1/m). Users with ``honest`` (a bool mask over ``xs``) false
+        contribute neither data nor noise (their behavior is supplied by
+        the adversary module). Returns one payload array per group plus
+        the total honest message count.
         """
         raise NotImplementedError
 
@@ -157,13 +149,12 @@ class BaseProtocol:
         epsilon: float,
         m: int,
         rng,
-        honest: np.ndarray | None = None,
-        ng: int | None = None,
+        honest: np.ndarray,
     ) -> tuple[np.ndarray, int]:
         """The level of ``randomize_level`` as an additive tally.
 
         Same arguments and RNG calls as ``randomize_level``. Returns an
-        int64 array of shape ``(ng, bins)`` (``bins`` = 1 for count and
+        int64 array of shape ``(groups, bins)`` (``bins`` = 1 for count and
         sum) whose row g finishes as the ``fold`` row of group g's
         payloads does, plus the total honest message count.
         """
@@ -212,7 +203,8 @@ class BaseProtocol:
 class SumProtocol(BaseProtocol):
     """Split-and-mix residues mod q with DLap(e^-eps/U) group noise."""
 
-    shares = SUM_SHARES
+    #: Shares each user splits its input into.
+    shares = 3
 
     def __init__(self, query: Query, n: int):
         super().__init__(query)
@@ -222,15 +214,13 @@ class SumProtocol(BaseProtocol):
             3, (4 * max(1, n) * max(1, query.domain_size)).bit_length()
         )
 
-    def _draw(self, xs, epsilon, m, rng, honest, ng):
+    def _draw(self, xs, epsilon, m, rng, honest):
         """A level's draw: each honest user's total (input plus noise
         share, mod q), the uniform residues that split it into
         ``shares`` shares (last column not yet set), and the honest users
         per group. Groups are contiguous."""
-        ng = _resolve_groups(xs.size, m, ng)
+        hcount = _honest_per_group(honest, m)
         p = noise_base(epsilon, self.query.domain_size)
-        if honest is None:
-            honest = np.ones(xs.size, dtype=bool)
         hxs = xs[honest]
         # Built in place: each array here holds one int64 per honest user.
         totals = nb_sample(1.0 / m, p, rng, size=hxs.size)
@@ -238,18 +228,18 @@ class SumProtocol(BaseProtocol):
         totals += hxs
         totals %= self.modulus
         parts = rng.integers(0, self.modulus, size=(totals.size, self.shares))
-        return totals, parts, _honest_per_group(xs, honest, ng)
+        return totals, parts, hcount
 
-    def randomize_level(self, xs, epsilon, m, rng, honest=None, ng=None):
-        totals, parts, hcount = self._draw(xs, epsilon, m, rng, honest, ng)
+    def randomize_level(self, xs, epsilon, m, rng, honest):
+        totals, parts, hcount = self._draw(xs, epsilon, m, rng, honest)
         # The last share makes each user's shares sum to its total mod q.
         parts[:, -1] = (totals - parts[:, :-1].sum(axis=1)) % self.modulus
         payloads = parts.reshape(-1)
         groups = np.split(payloads, np.cumsum(hcount * self.shares)[:-1])
         return groups, int(payloads.size)
 
-    def tally_level(self, xs, epsilon, m, rng, honest=None, ng=None):
-        totals, _, hcount = self._draw(xs, epsilon, m, rng, honest, ng)
+    def tally_level(self, xs, epsilon, m, rng, honest):
+        totals, _, hcount = self._draw(xs, epsilon, m, rng, honest)
         # A user's shares sum to its total mod q, so a group's residue sum
         # is, mod q, the sum of its users' totals: exact int64 prefix sums.
         prefix = np.concatenate([[0], np.cumsum(totals)])
@@ -297,27 +287,26 @@ class _TokenProtocol(BaseProtocol):
     def _noise_p(self, epsilon: float) -> float:
         return noise_base(epsilon / self.per_user, 1)
 
-    def _draw(self, xs, epsilon, m, rng, honest, ng):
-        """A level's ``(ng, 2*bins)`` code counts, data tokens included:
-        codes ``1..bins``, then ``-1..-bins``."""
-        ng = _resolve_groups(xs.size, m, ng)
+    def _draw(self, xs, epsilon, m, rng, honest):
+        """A level's ``(groups, 2*bins)`` code counts, data tokens
+        included: codes ``1..bins``, then ``-1..-bins``."""
+        hcount = _honest_per_group(honest, m)
+        ng = hcount.size
         p = self._noise_p(epsilon)
-        r = (_honest_per_group(xs, honest, ng) / m)[:, None]
+        r = (hcount / m)[:, None]
         pos = nb_sample(np.broadcast_to(r, (ng, self.bins)), p, rng)
         neg = nb_sample(np.broadcast_to(r, (ng, self.bins)), p, rng)
-        user_group = np.arange(xs.size) // (xs.size // ng)
-        if honest is not None:
-            xs, user_group = xs[honest], user_group[honest]
-        owner, col = bins_of(self.query, xs)
-        cell = user_group[owner] * self.bins + col
+        user_group = np.arange(xs.size) // m
+        owner, col = bins_of(self.query, xs[honest])
+        cell = user_group[honest][owner] * self.bins + col
         data = np.bincount(cell, minlength=ng * self.bins).reshape(ng, self.bins)
         return np.hstack([pos + data, neg])
 
-    def randomize_level(self, xs, epsilon, m, rng, honest=None, ng=None):
-        return _emit_codes(self._draw(xs, epsilon, m, rng, honest, ng))
+    def randomize_level(self, xs, epsilon, m, rng, honest):
+        return _emit_codes(self._draw(xs, epsilon, m, rng, honest))
 
-    def tally_level(self, xs, epsilon, m, rng, honest=None, ng=None):
-        counts = self._draw(xs, epsilon, m, rng, honest, ng)
+    def tally_level(self, xs, epsilon, m, rng, honest):
+        counts = self._draw(xs, epsilon, m, rng, honest)
         b = self.bins
         return counts[:, :b] - counts[:, b:], int(counts.sum())
 

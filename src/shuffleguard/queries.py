@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -106,22 +106,12 @@ class Query:
 class Dataset:
     """An input multiset; values are validated lazily against a query."""
 
-    values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(
             self, "values", np.asarray(self.values, dtype=np.int64)
         )
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-
-def _as_values(d) -> np.ndarray:
-    if isinstance(d, Dataset):
-        return d.values
-    return np.asarray(d, dtype=np.int64)
 
 
 def check_domain(q: Query, values: np.ndarray) -> None:
@@ -157,9 +147,8 @@ def bins_of(q: Query, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raise ShapeError(f"{q.kind.value} answers are not tallies of bins")
 
 
-def eval_query(q: Query, d) -> QueryValue:
-    """Exact (non-private) query answer."""
-    values = _as_values(d)
+def eval_query(q: Query, values: np.ndarray) -> QueryValue:
+    """Exact (non-private) query answer on an int64 array of values."""
     check_domain(q, values)
     if q.scalar:
         return int(values.sum())
@@ -209,21 +198,17 @@ def _hist_dis(rows: np.ndarray, n: int) -> np.ndarray:
     return dis
 
 
-def dis_to_range(q: Query, n: int, v) -> float | np.ndarray:
+def dis_to_range(q: Query, n: int, rows: np.ndarray) -> np.ndarray:
     """Distance from values to the set of attainable size-n query outputs.
 
-    ``v`` is one value (an int for count and sum, a ``(num_bins,)`` vector
-    otherwise), which gives one float, or a stack of values of shape
-    ``(rows, num_bins)``, with ``num_bins`` = 1 for count and sum, which
-    gives one float per row.
+    ``rows`` is an int64 stack of values of shape ``(rows, num_bins)``,
+    with ``num_bins`` = 1 for count and sum; the result is one float per
+    row.
     """
-    v = np.asarray(v, dtype=np.int64)
-    single = v.ndim == (0 if q.scalar else 1)
-    rows = v.reshape(1, -1) if single else v
     if rows.ndim != 2 or rows.shape[1] != q.num_bins:
         raise ShapeError(
-            f"{q.kind.value} value must be one value or a stack of shape "
-            f"(rows, {q.num_bins}), got shape {v.shape}"
+            f"{q.kind.value} values must be a stack of shape "
+            f"(rows, {q.num_bins}), got shape {rows.shape}"
         )
     if q.scalar:
         top = n if q.kind is QueryKind.COUNT else n * q.domain_size
@@ -238,5 +223,4 @@ def dis_to_range(q: Query, n: int, v) -> float | np.ndarray:
             ],
             axis=0,
         )
-    dis = dis.astype(float)
-    return float(dis[0]) if single else dis
+    return dis.astype(float)

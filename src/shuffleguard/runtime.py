@@ -31,8 +31,6 @@ class ShufflerToken:
     """Secret capability for one shuffler; unguessable, unique per node."""
 
     id: int
-    level: int
-    group: int
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,6 @@ class TokenTable:
     def __len__(self) -> int:
         return int(self.ids.size)
 
-    def token(self, level: int, group: int) -> ShufflerToken:
-        tid = int(self.levels[level - 1][group - 1])
-        return ShufflerToken(tid, level, group)
-
     def node_of(self, token_id: int) -> tuple[int, int] | None:
         """The (level, group) whose token is ``token_id``, or None."""
         if not 0 <= token_id < 1 << 63:
@@ -116,7 +110,7 @@ class TokenTable:
 
     def make_inboxes(self) -> dict[tuple[int, int], ShufflerInbox]:
         return {
-            (r, g): ShufflerInbox(ShufflerToken(tid, r, g))
+            (r, g): ShufflerInbox(ShufflerToken(tid))
             for r, ids in enumerate(self.levels, start=1)
             for g, tid in enumerate(ids.tolist(), start=1)
         }

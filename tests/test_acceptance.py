@@ -24,7 +24,7 @@ from shuffleguard.harness import (
     trimmed_mean,
 )
 from shuffleguard.noise import nb_sample, dlap_threshold
-from shuffleguard.protocols import CountProtocol
+from shuffleguard.protocols import make_base
 from shuffleguard.queries import Query, QueryKind
 from shuffleguard.runtime import Envelope, provision
 
@@ -119,7 +119,9 @@ def test_a04_detection_rate_transition():
             honest = np.ones(n, dtype=bool)
             honest[0] = False
             envs, _ = randomize_all(plan, ds.values, tokens, rng_honest, honest=honest)
-            envs.extend(adv.malicious_envelopes(strategy, 1, plan, tokens, rng_adv))
+            envs.extend(adv.malicious_envelopes(
+                strategy, 1, plan, tokens, rng_adv, x=0
+            ))
             by_id = {ib.token.id: ib for ib in inboxes.values()}
             for e in envs:
                 by_id[e.token].submit(e)
@@ -254,70 +256,89 @@ def test_a08_noise_law_suite():
     )
 
 
-def _oracle_tree(xs, lam, flood_node, flood_msgs):
+def _oracle_tree(kind, xs, lam, flood_node, flood_msgs):
     """Brute-force noiseless reference: independent of the library's
-    analyzer. Estimates every node by direct summation, flags bottom nodes
-    outside [0, lam] and upper nodes failing the parent/child consistency
-    check (noiseless per-level slack is 1), then recovers bottom-up."""
+    analyzer. Estimates every node by direct summation (the sum of the
+    bits for count and sum, the count of each value for hist; a flood
+    message raises every bin by one), flags bottom nodes farther than 1
+    from every answer a group of lam users can give, found by scanning t,
+    and upper nodes failing the parent/child consistency check (noiseless
+    per-level slack is 1), then recovers bottom-up."""
     n = len(xs)
     big_l = int(math.log2(n // lam)) + 1
+    def answer(size, ones):
+        return [size - ones, ones] if kind is QueryKind.HISTOGRAM else [ones]
+
+    def gap(u, v):
+        return max(abs(a - b) for a, b in zip(u, v))
+
+    def add(u, v):
+        return [a + b for a, b in zip(u, v)]
+
+    answers = [answer(lam, ones) for ones in range(lam + 1)]
     est = {}
     for r in range(1, big_l + 1):
         size = lam * (1 << (r - 1))
         for g in range(1, n // size + 1):
-            v = int(sum(xs[(g - 1) * size: g * size]))
+            v = answer(size, sum(xs[(g - 1) * size: g * size]))
             if flood_node == (r, g):
-                v += flood_msgs
+                v = [b + flood_msgs for b in v]
             est[(r, g)] = v
     flagged = set()
     for g in range(1, n // lam + 1):
-        v = est[(1, g)]
-        if max(-v, v - lam, 0) > 1:
+        t = 0
+        while not any(gap(est[(1, g)], a) <= t for a in answers):
+            t += 1
+        if t > 1:
             flagged.add((1, g))
     for r in range(2, big_l + 1):
         for g in range(1, n // (lam * (1 << (r - 1))) + 1):
             kids = [(r - 1, 2 * g - 1), (r - 1, 2 * g)]
-            gap = abs(est[(r, g)] - sum(est[c] for c in kids))
-            if any(c in flagged for c in kids) or gap > len(kids) * 1 + 1:
+            slack = gap(est[(r, g)], add(*(est[c] for c in kids)))
+            if any(c in flagged for c in kids) or slack > len(kids) * 1 + 1:
                 flagged.add((r, g))
     rec = {}
     for g in range(1, n // lam + 1):
-        rec[(1, g)] = 0 if (1, g) in flagged else est[(1, g)]
+        v = est[(1, g)]
+        rec[(1, g)] = [0] * len(v) if (1, g) in flagged else v
     for r in range(2, big_l + 1):
         for g in range(1, n // (lam * (1 << (r - 1))) + 1):
             kids = [(r - 1, 2 * g - 1), (r - 1, 2 * g)]
             rec[(r, g)] = (
-                sum(rec[c] for c in kids) if (r, g) in flagged else est[(r, g)]
+                add(*(rec[c] for c in kids))
+                if (r, g) in flagged else est[(r, g)]
             )
     return rec[(big_l, 1)], flagged
 
 
 def test_a09_small_instance_oracle_equivalence():
     # Noiseless limit, every bit dataset of size 8, every single flooded
-    # node: the analyzer must agree exactly with the brute-force oracle.
+    # node, count and U = 1 sum and hist: the analyzer must agree exactly
+    # with the brute-force oracle.
     n, flood_msgs = 8, 11
-    base = CountProtocol(Query(QueryKind.COUNT))
     mismatches = 0
     cases = 0
-    for lam in (1, 2):
+    for kind, lam in itertools.product(
+        (QueryKind.COUNT, QueryKind.SUM, QueryKind.HISTOGRAM), (1, 2)
+    ):
+        base = make_base(Query(kind, 1), n)
+        flood = np.tile(base.top, flood_msgs)
         plan = plan_ohsdp(base, n, INF, 0.01, 0.1, lam=lam, k_hat=0)
-        nodes = [None] + [
-            (lp.r, g)
-            for lp in plan.levels
-            for g in range(1, lp.num_groups + 1)
-        ]
+        nodes = [None] + plan.nodes()
         rng = np.random.default_rng(9)
         for bits in itertools.product((0, 1), repeat=n):
             xs = np.asarray(bits, dtype=np.int64)
+            # Noiseless, so one draw of the honest envelopes serves every
+            # flooded node.
+            tokens = provision(plan, rng)
+            honest, _ = randomize_all(plan, xs, tokens, rng, np.ones(n, bool))
             for node in nodes:
-                tokens = provision(plan, rng)
                 inboxes = tokens.make_inboxes()
-                envs, _ = randomize_all(plan, xs, tokens, rng)
+                envs = list(honest)
                 if node is not None:
-                    envs.append(Envelope(
-                        tokens.token(*node).id,
-                        np.ones(flood_msgs, dtype=np.int64),
-                    ))
+                    r, g = node
+                    tid = int(tokens.levels[r - 1][g - 1])
+                    envs.append(Envelope(tid, flood))
                 by_id = {ib.token.id: ib for ib in inboxes.values()}
                 for e in envs:
                     by_id[e.token].submit(e)
@@ -325,9 +346,13 @@ def test_a09_small_instance_oracle_equivalence():
                     nd: ib.shuffle(rng) for nd, ib in inboxes.items()
                 }
                 out, report = analyze(plan, shuffled)
-                want, want_flags = _oracle_tree(xs, lam, node, flood_msgs)
+                want, want_flags = _oracle_tree(
+                    kind, bits, lam, node, flood_msgs
+                )
                 cases += 1
-                mismatches += (out != want) or (set(report.flagged) != want_flags)
+                mismatches += (np.atleast_1d(out).tolist() != want) or (
+                    set(report.flagged) != want_flags
+                )
     ok = mismatches == 0
     _verdict(
         "A09 small-instance oracle equivalence",

@@ -35,7 +35,7 @@ def count_plan(n=8, eps=1.0, lam=None):
 
 class TestCorruptUsers:
     def test_none(self):
-        assert corrupt_users(10, 0, np.random.default_rng(0)).k == 0
+        assert corrupt_users(10, 0, np.random.default_rng(0)).ids == frozenset()
 
     def test_all(self):
         cs = corrupt_users(5, 5, np.random.default_rng(0))
@@ -60,11 +60,12 @@ class TestFlooding:
         plan = count_plan()
         tokens = provision(plan, np.random.default_rng(0))
         envs = malicious_envelopes(
-            Flood(msgs=8), 3, plan, tokens, np.random.default_rng(1)
+            Flood(msgs=8), 3, plan, tokens, np.random.default_rng(1), x=0
         )
         assert len(envs) == len(plan.levels)
         for e, lp in zip(envs, plan.levels):
-            assert e.token == tokens.token(lp.r, plan.group_of(3, lp.r)).id
+            g = plan.group_of(3, lp.r)
+            assert e.token == int(tokens.levels[lp.r - 1][g - 1])
             np.testing.assert_array_equal(e.payloads, np.ones(8))
 
     def test_flood_sum_residues(self):
@@ -73,7 +74,7 @@ class TestFlooding:
         plan = plan_hsdp(base, 8, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
         envs = malicious_envelopes(
-            Flood(msgs=3), 2, plan, tokens, np.random.default_rng(1)
+            Flood(msgs=3), 2, plan, tokens, np.random.default_rng(1), x=0
         )
         assert len(envs) == len(plan.levels)
         for e in envs:
@@ -84,7 +85,7 @@ class TestFlooding:
         plan = plan_hsdp(base, 4, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
         envs = malicious_envelopes(
-            Flood(msgs=2), 1, plan, tokens, np.random.default_rng(1)
+            Flood(msgs=2), 1, plan, tokens, np.random.default_rng(1), x=0
         )
         for e in envs:
             np.testing.assert_array_equal(e.payloads, [1, 2, 3, 1, 2, 3])
@@ -141,7 +142,8 @@ class TestOtherStrategies:
         tokens = provision(plan, np.random.default_rng(0))
         with pytest.raises(DomainError):
             malicious_envelopes(
-                AlterInput(forged=2), 5, plan, tokens, np.random.default_rng(1)
+                AlterInput(forged=2), 5, plan, tokens, np.random.default_rng(1),
+                x=0,
             )
 
     def test_impersonation_rejected(self):
@@ -150,7 +152,7 @@ class TestOtherStrategies:
         inboxes = tokens.make_inboxes()
         envs = malicious_envelopes(
             Impersonate(msgs=10), 5, plan, tokens,
-            np.random.default_rng(1),
+            np.random.default_rng(1), x=0,
         )
         accepted = sum(
             ib.submit(e) for ib in inboxes.values() for e in envs
@@ -163,7 +165,8 @@ class TestStructural:
         plan = count_plan(n=8, lam=4)
         tokens = provision(plan, np.random.default_rng(0))
         own = {
-            tokens.token(lp.r, plan.group_of(2, lp.r)).id for lp in plan.levels
+            int(tokens.levels[lp.r - 1][plan.group_of(2, lp.r) - 1])
+            for lp in plan.levels
         }
         for strategy in (
             Flood(msgs=5),

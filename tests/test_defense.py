@@ -42,9 +42,10 @@ def run_round(plan, xs, seed=0, floods=()):
     rng = np.random.default_rng(seed)
     tokens = provision(plan, rng)
     inboxes = tokens.make_inboxes()
-    envs, _ = randomize_all(plan, xs, tokens, rng)
-    for node, payload in floods:
-        envs.append(Envelope(tokens.token(*node).id, np.asarray(payload, dtype=np.int64)))
+    envs, _ = randomize_all(plan, xs, tokens, rng, np.ones(xs.size, bool))
+    for (r, g), payload in floods:
+        tid = int(tokens.levels[r - 1][g - 1])
+        envs.append(Envelope(tid, np.asarray(payload, dtype=np.int64)))
     by_id = {ib.token.id: ib for ib in inboxes.values()}
     for e in envs:
         by_id[e.token].submit(e)
@@ -277,12 +278,13 @@ class TestRandomizeUser:
         plan = plan_hsdp(count_base(), 2, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
         envs, _ = randomize_all(
-            plan, np.ones(2, dtype=np.int64), tokens, np.random.default_rng(1)
+            plan, np.ones(2, dtype=np.int64), tokens, np.random.default_rng(1),
+            np.ones(2, bool),
         )
         assert [e.token for e in envs] == [
-            tokens.token(1, 1).id,
-            tokens.token(1, 2).id,
-            tokens.token(2, 1).id,
+            int(tokens.levels[0][0]),
+            int(tokens.levels[0][1]),
+            int(tokens.levels[1][0]),
         ]
 
     def test_noiseless_one_token_per_level(self):
@@ -290,11 +292,15 @@ class TestRandomizeUser:
         tokens = provision(plan, np.random.default_rng(0))
         xs = np.zeros(8, dtype=np.int64)
         xs[2] = 1  # user 3
-        envs, _ = randomize_all(plan, xs, tokens, np.random.default_rng(1))
+        envs, _ = randomize_all(
+            plan, xs, tokens, np.random.default_rng(1), np.ones(8, bool)
+        )
         by_token = {e.token: e.payloads for e in envs}
         path = [(lp.r, plan.group_of(3, lp.r)) for lp in plan.levels]
-        for node in path:
-            np.testing.assert_array_equal(by_token[tokens.token(*node).id], [1])
+        for r, g in path:
+            np.testing.assert_array_equal(
+                by_token[int(tokens.levels[r - 1][g - 1])], [1]
+            )
 
 
 class TestAnalyze:
@@ -361,8 +367,8 @@ class TestAnalyze:
         rng = np.random.default_rng(2)
         tokens = provision(plan, rng)
         inboxes = tokens.make_inboxes()
-        envs, _ = randomize_all(plan, xs, tokens, rng)
-        envs.append(Envelope(tokens.token(1, 3).id, np.ones(50, dtype=np.int64)))
+        envs, _ = randomize_all(plan, xs, tokens, rng, np.ones(8, bool))
+        envs.append(Envelope(int(tokens.levels[0][2]), np.ones(50, dtype=np.int64)))
         by_id = {ib.token.id: ib for ib in inboxes.values()}
         for e in envs:
             by_id[e.token].submit(e)

@@ -22,6 +22,7 @@ from shuffleguard.harness import (
     auto_lambda,
     build_plan,
     emit,
+    experiment_dataset,
     run_experiment,
     run_trial,
     summary_row,
@@ -55,8 +56,6 @@ class TestGenDataset:
     def test_bad_dist(self):
         with pytest.raises(ParameterError):
             gen_dataset("cauchy", 10, 1, seed=0)
-        with pytest.raises(ParameterError):
-            gen_dataset("zipf", 10, 1, seed=0, a=1.0)
 
     @pytest.mark.parametrize("dist", ["unif", "zipf", "gauss"])
     @pytest.mark.parametrize("u", [0, 1, 8])
@@ -96,7 +95,7 @@ class TestLoadCsv:
         f.write_text("")
         with caplog.at_level("WARNING"):
             d = load_csv(f, 0)
-        assert d.n == 0
+        assert d.values.size == 0
         assert caplog.records
 
     def test_missing_file(self, tmp_path):
@@ -139,8 +138,9 @@ class TestRunTrial:
     )
 
     def test_deterministic(self):
-        a = run_trial(self.CFG, 3)
-        b = run_trial(self.CFG, 3)
+        plan, ds = build_plan(self.CFG), experiment_dataset(self.CFG)
+        a = run_trial(self.CFG, 3, plan, ds)
+        b = run_trial(self.CFG, 3, plan, ds)
         assert (a.abs_error, a.msgs_per_user, a.detected) == (
             b.abs_error, b.msgs_per_user, b.detected,
         )
@@ -150,7 +150,7 @@ class TestRunTrial:
             query="count", protocol="ohsdp", n=64, lam=8, eps=float("inf"),
             trials=1, seed=1,
         )
-        r = run_trial(cfg, 0)
+        r = run_trial(cfg, 0, build_plan(cfg), experiment_dataset(cfg))
         assert r.abs_error == 0
         assert not r.detected
 
@@ -159,7 +159,7 @@ class TestRunTrial:
             query="count", protocol="base", n=1024, trials=1, seed=2,
             k=1, attack="flood",
         )
-        r = run_trial(cfg, 0)
+        r = run_trial(cfg, 0, build_plan(cfg), experiment_dataset(cfg))
         assert r.rel_error == pytest.approx(2.0, rel=0.15)
 
 
@@ -178,7 +178,7 @@ class TestRunTrial:
         calls = []
         fold = plan.base.fold
         plan.base.fold = lambda payloads: calls.append(1) or fold(payloads)
-        run_trial(cfg, 0, plan=plan)
+        run_trial(cfg, 0, plan, experiment_dataset(cfg))
         accepted = {"none": 0, "impersonate": 0}.get(attack, len(plan.levels))
         assert len(calls) == accepted
 
@@ -213,7 +213,8 @@ class TestRunTrial:
         def trials(strategy):
             monkeypatch.setattr(harness, "make_strategy", lambda c, p: strategy)
             estimates.clear()
-            results = [run_trial(cfg, t, plan=plan) for t in range(cfg.trials)]
+            ds = experiment_dataset(cfg)
+            results = [run_trial(cfg, t, plan, ds) for t in range(cfg.trials)]
             return results, list(estimates), run_experiment(cfg)
 
         monkeypatch.setattr(harness, "detect", detect)
@@ -235,7 +236,10 @@ class TestRunTrial:
             query="count", protocol="hsdp", n=64, k=1, attack="impersonate",
             attack_msgs=37, trials=4, seed=6,
         )
-        assert [run_trial(cfg, t).rejected_msgs for t in range(4)] == [37] * 4
+        plan, ds = build_plan(cfg), experiment_dataset(cfg)
+        assert [
+            run_trial(cfg, t, plan, ds).rejected_msgs for t in range(4)
+        ] == [37] * 4
         assert run_experiment(cfg).rejected_msgs == 37
         clean = ExperimentConfig(query="count", protocol="hsdp", n=64, trials=4)
         assert run_experiment(clean).rejected_msgs == 0
@@ -297,10 +301,11 @@ class TestSweepAndEmit:
 
     @pytest.mark.parametrize("query,eps", [("count", "1"), ("hist", "4")])
     def test_csv_row_echoes_resolved_budget(self, tmp_path, query, eps):
-        # Left at their defaults, eps, delta and k_hat are written as the
-        # values the run used, not as empty cells.
+        # Left at their defaults, eps, delta, k_hat and attack_msgs are
+        # written as the values the run used, not as empty cells.
         cfg = ExperimentConfig(
-            query=query, u=3, protocol="ohsdp", n=64, k=2, trials=2, seed=0
+            query=query, u=3, protocol="ohsdp", n=64, k=2, attack="flood",
+            trials=2, seed=0,
         )
         path = tmp_path / "out.csv"
         emit([run_experiment(cfg)], "csv", path)
@@ -309,6 +314,7 @@ class TestSweepAndEmit:
         assert row["eps"] == eps
         assert float(row["delta"]) == pytest.approx(64 ** -2.0, rel=1e-5)
         assert row["k_hat"] == "2"
+        assert row["attack_msgs"] == "64"
 
     def test_summary_row_echoes_resolved_lambda(self):
         cfg = ExperimentConfig(
@@ -418,6 +424,10 @@ class TestCli:
              "--delta must be given at n = 1: its default n^-2 = 1.0 is out"
              " of range (0, 1)"),
             (["run", "--config", {"n": 1}], "--delta must be given at n = 1"),
+            (["run", "--n", "2", "--delta", "0.01"],
+             "ohsdp needs --lambda > 2 * --khat for an honest majority in "
+             "every bottom group, got lambda=2 (auto caps it at --n=2) and "
+             "khat=1 (default max(1, --k))"),
         ],
         ids=[
             "lambda-foo", "lambda-0", "attack-msgs-negative", "n-0",
@@ -426,7 +436,7 @@ class TestCli:
             "seed-negative", "khat-negative", "delta-0", "config-lam-fraction",
             "config-n-bool", "config-query", "config-protocol",
             "config-attack", "config-dist", "config-format", "n-1-delta",
-            "config-n-1-delta",
+            "config-n-1-delta", "ohsdp-n-2-delta",
         ],
     )
     def test_bad_ingress_is_one_line(
@@ -521,6 +531,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "40 values, more than n=16" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_data_is_one_line(self, value, tmp_path, capsys):
+        from shuffleguard.cli import main
+
+        data = tmp_path / "f.csv"
+        data.write_text(f"v\n1\n{value}\n")
+        rc = main([
+            "run", "--query", "count", "--n", "4", "--delta", "0.01",
+            "--trials", "1", "--data", str(data), "--col", "v",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {data} row 3: value {value!r} is not finite\n"
 
     @pytest.mark.parametrize(
         "query,u,needle",

@@ -74,7 +74,9 @@ class TestCount:
         xs = np.asarray([1, 0, 1, 1], dtype=np.int64)
         errs = []
         for _ in range(20_000):
-            groups, _ = proto.randomize_level(xs, 1.0, 4, rng, ng=1)
+            groups, _ = proto.randomize_level(
+                xs, 1.0, 4, rng, np.ones(xs.size, bool)
+            )
             errs.append(proto.analyze(groups[0]) - 3)
         errs = np.asarray(errs)
         hi = 6
@@ -133,7 +135,9 @@ class TestSum:
         for n in (1, 7, 100):
             proto = sum_proto(u=10, n=n)
             xs = rng.integers(0, 11, size=n)
-            groups, total = proto.randomize_level(xs, INF, n, rng, ng=1)
+            groups, total = proto.randomize_level(
+                xs, INF, n, rng, np.ones(xs.size, bool)
+            )
             assert total == n * proto.shares
             assert proto.analyze(groups[0]) == xs.sum()
 
@@ -145,7 +149,9 @@ class TestSum:
         xs = np.asarray([4, 0, 2, 1], dtype=np.int64)
         errs = []
         for _ in range(20_000):
-            groups, _ = proto.randomize_level(xs, eps, 4, rng, ng=1)
+            groups, _ = proto.randomize_level(
+                xs, eps, 4, rng, np.ones(xs.size, bool)
+            )
             errs.append(proto.analyze(groups[0]) - 7)
         errs = np.asarray(errs)
         hi = 10
@@ -202,7 +208,9 @@ class TestHist:
         bad = 0
         trials = 2000
         for _ in range(trials):
-            groups, _ = proto.randomize_level(xs, eps, 6, rng, ng=1)
+            groups, _ = proto.randomize_level(
+                xs, eps, 6, rng, np.ones(xs.size, bool)
+            )
             err = np.max(np.abs(proto.analyze(groups[0]) - truth))
             bad += err > theta
         assert bad / trials <= 1.5 * beta
@@ -222,7 +230,9 @@ class TestRangeTree:
         proto = make_base(q, 4)
         rng = np.random.default_rng(1)
         xs = np.asarray([0, 1, 3, 3], dtype=np.int64)
-        groups, _ = proto.randomize_level(xs, INF, 4, rng, ng=1)
+        groups, _ = proto.randomize_level(
+            xs, INF, 4, rng, np.ones(xs.size, bool)
+        )
         np.testing.assert_array_equal(
             proto.analyze(groups[0]), eval_query(q, xs)
         )
@@ -356,8 +366,11 @@ def test_sum_tally_exact_at_largest_modulus():
     q = proto.modulus
     assert q == 1 << 26
     xs = np.zeros(4096, dtype=np.int64)
-    payloads, _ = proto.randomize_level(xs, 1.0, 1024, np.random.default_rng(3))
-    tally, _ = proto.tally_level(xs, 1.0, 1024, np.random.default_rng(3))
+    honest = np.ones(xs.size, bool)
+    payloads, _ = proto.randomize_level(
+        xs, 1.0, 1024, np.random.default_rng(3), honest
+    )
+    tally, _ = proto.tally_level(xs, 1.0, 1024, np.random.default_rng(3), honest)
     # A user with negative noise wraps to a residue near q, so a row
     # only matches after reduction mod q.
     assert (tally >= q).any()
@@ -408,7 +421,9 @@ class TestDescriptors:
         proto = count_proto()
         rng = np.random.default_rng(5)
         xs = np.ones(10_000, dtype=np.int64)
-        _, total = proto.randomize_level(xs, 1.0, 1, rng)
+        _, total = proto.randomize_level(
+            xs, 1.0, 1, rng, np.ones(xs.size, bool)
+        )
         expect = proto.expected_msgs(1.0, 1)
         assert total / xs.size == pytest.approx(expect, rel=0.05)
 
@@ -418,7 +433,9 @@ class TestDescriptors:
         xs = np.asarray([1, 1, 0, 1], dtype=np.int64)
         errs = []
         for _ in range(10_000):
-            groups, _ = proto.randomize_level(xs, 1.0, 4, rng, ng=1)
+            groups, _ = proto.randomize_level(
+                xs, 1.0, 4, rng, np.ones(xs.size, bool)
+            )
             errs.append(proto.analyze(groups[0]) - 3)
         errs = np.asarray(errs, dtype=float)
         sem = errs.std() / math.sqrt(errs.size)

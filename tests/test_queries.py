@@ -35,30 +35,30 @@ def sum_q(u):
 
 class TestEval:
     def test_count(self):
-        assert eval_query(COUNT, [1, 0, 1]) == 2
+        assert eval_query(COUNT, np.asarray([1, 0, 1])) == 2
 
     def test_sum_empty(self):
-        assert eval_query(sum_q(10), []) == 0
+        assert eval_query(sum_q(10), np.zeros(0, dtype=np.int64)) == 0
 
     def test_hist_tally(self):
         np.testing.assert_array_equal(
-            eval_query(hist(3), [0, 3, 3]), [1, 0, 0, 2]
+            eval_query(hist(3), np.asarray([0, 3, 3])), [1, 0, 0, 2]
         )
 
     def test_tree_levels_consistent(self):
         q = tree(3)
-        v = eval_query(q, [0, 1, 3, 3])
+        v = eval_query(q, np.asarray([0, 1, 3, 3]))
         # levels: singletons, pairs, whole domain
         np.testing.assert_array_equal(v, [1, 1, 0, 2, 2, 2, 4])
 
     def test_out_of_domain_names_index(self):
         with pytest.raises(DomainError, match="index 1"):
-            eval_query(COUNT, [0, 2, 1])
+            eval_query(COUNT, np.asarray([0, 2, 1]))
 
     def test_dataset_wrapper(self):
         d = Dataset(np.asarray([1, 1, 0]))
-        assert d.n == 3
-        assert eval_query(COUNT, d) == 2
+        assert d.values.size == 3
+        assert eval_query(COUNT, d.values) == 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -68,6 +68,7 @@ class TestEval:
 )
 def test_union_preserving(values, data):
     cut = data.draw(st.integers(0, len(values)))
+    values = np.asarray(values, dtype=np.int64)
     for q in (sum_q(3), hist(3), tree(3)):
         total = eval_query(q, values)
         left = eval_query(q, values[:cut])
@@ -141,20 +142,22 @@ def test_union_preserving_random_splits_count():
 
 class TestDisToRange:
     def test_count_above(self):
-        assert dis_to_range(COUNT, 4, 5) == 1
+        assert dis_to_range(COUNT, 4, np.asarray([[5]])).tolist() == [1]
 
     def test_count_inside(self):
-        assert dis_to_range(COUNT, 4, 2) == 0
+        assert dis_to_range(COUNT, 4, np.asarray([[2]])).tolist() == [0]
 
     def test_count_negative(self):
-        assert dis_to_range(COUNT, 4, -3) == 3
+        assert dis_to_range(COUNT, 4, np.asarray([[-3]])).tolist() == [3]
 
     def test_hist_example(self):
-        assert dis_to_range(hist(2), 2, np.asarray([5, 0, 0])) == 3
+        assert dis_to_range(hist(2), 2, np.asarray([[5, 0, 0]])).tolist() == [3]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             dis_to_range(hist(2), 2, np.asarray([1, 2]))
+        with pytest.raises(ShapeError):
+            dis_to_range(hist(2), 2, np.asarray([1, 2, 3]))
         with pytest.raises(ShapeError):
             dis_to_range(hist(2), 2, np.zeros((4, 2), dtype=np.int64))
 
@@ -164,7 +167,8 @@ class TestDisToRange:
         for q in (COUNT, sum_q(4), hist(4), tree(4)):
             for n in (0, 1, 5, 20):
                 d = rng.integers(0, q.max_input + 1, size=n)
-                assert dis_to_range(q, n, eval_query(q, d)) == 0
+                v = np.reshape(eval_query(q, d), (1, -1))
+                assert dis_to_range(q, n, v).tolist() == [0]
             # The answers of six size-5 datasets as one stack, one per row.
             datasets = stack_rng.integers(0, q.max_input + 1, size=(6, 5))
             stack = np.asarray([np.reshape(eval_query(q, d), -1) for d in datasets])
@@ -175,7 +179,7 @@ class TestDisToRange:
     def test_hist_matches_bruteforce(self, n, u):
         q = hist(u)
         attainable = [
-            np.asarray(eval_query(q, list(vals)))
+            np.asarray(eval_query(q, np.asarray(vals, dtype=np.int64)))
             for vals in itertools.combinations_with_replacement(range(u + 1), n)
         ]
         rng = np.random.default_rng(n * 10 + u)
@@ -185,9 +189,11 @@ class TestDisToRange:
             oracle = min(
                 np.max(np.abs(v - y)) for y in attainable
             )
-            assert dis_to_range(q, n, v) == oracle
+            assert dis_to_range(q, n, v[None]).tolist() == [oracle]
             oracles.append(oracle)
-        np.testing.assert_array_equal(dis_to_range(q, n, rows), oracles)
+        np.testing.assert_array_equal(
+            dis_to_range(q, n, np.asarray(rows)), oracles
+        )
 
 
 @settings(max_examples=300, deadline=None)

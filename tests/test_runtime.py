@@ -56,7 +56,7 @@ def test_node_of_finds_every_node_and_no_guess(make, seed, guess):
     tokens = provision(plan, np.random.default_rng(seed))
     ids = set(tokens.ids.tolist())
     for r, g in plan.nodes():
-        tid = tokens.token(r, g).id
+        tid = int(tokens.levels[r - 1][g - 1])
         assert tokens.node_of(tid) == (r, g)
         if tid + 1 not in ids:  # the sorted neighbour of a real id
             assert tokens.node_of(tid + 1) is None
@@ -66,7 +66,7 @@ def test_node_of_finds_every_node_and_no_guess(make, seed, guess):
 
 class TestSubmit:
     def make_inbox(self):
-        return ShufflerInbox(ShufflerToken(id=12345, level=1, group=1))
+        return ShufflerInbox(ShufflerToken(id=12345))
 
     def test_matching_token_accepted(self):
         inbox = self.make_inbox()
@@ -91,14 +91,14 @@ class TestSubmit:
 
 class TestShuffle:
     def test_singleton_passthrough(self):
-        inbox = ShufflerInbox(ShufflerToken(1, 1, 1))
+        inbox = ShufflerInbox(ShufflerToken(1))
         inbox.submit(Envelope(1, np.asarray([7])))
         np.testing.assert_array_equal(
             inbox.shuffle(np.random.default_rng(0)), [7]
         )
 
     def test_multiset_preserved(self):
-        inbox = ShufflerInbox(ShufflerToken(1, 1, 1))
+        inbox = ShufflerInbox(ShufflerToken(1))
         rng = np.random.default_rng(3)
         payloads = [rng.integers(0, 5, size=k) for k in (3, 0, 7)]
         for p in payloads:
@@ -107,7 +107,7 @@ class TestShuffle:
         assert sorted(out) == sorted(np.concatenate(payloads))
 
     def test_empty_inbox(self):
-        inbox = ShufflerInbox(ShufflerToken(1, 1, 1))
+        inbox = ShufflerInbox(ShufflerToken(1))
         assert inbox.shuffle(np.random.default_rng(0)).size == 0
 
 
