@@ -22,7 +22,6 @@ import numpy as np
 from .defense import LevelPlan, TreePlan
 from .errors import ParameterError
 from .protocols import BaseProtocol
-from .queries import check_domain
 from .runtime import Envelope, TokenTable
 
 
@@ -50,14 +49,11 @@ class DropNoise:
 
 @dataclass(frozen=True)
 class AlterInput:
-    """Run the honest randomizer on a forged (but in-domain) input."""
-
-    forged: int
+    """Run the honest randomizer on a forged input: the domain's largest."""
 
     def payloads(self, base: BaseProtocol, lp: LevelPlan, x: int, rng):
-        check_domain(base.query, np.asarray([self.forged], dtype=np.int64))
         return base.randomize(
-            self.forged, lp.budget.epsilon, lp.group_size, rng
+            base.query.max_input, lp.budget.epsilon, lp.group_size, rng
         )
 
 

@@ -48,7 +48,7 @@ def gen_dataset(dist: str, n: int, domain_size: int, seed) -> Dataset:
     return Dataset(values.astype(np.int64))
 
 
-def load_csv(path, column, cap: int | None = None) -> Dataset:
+def load_csv(path, column, cap: int) -> Dataset:
     """One numeric column of a CSV file, clamped to [0, cap].
 
     ``column`` selects by header name or by 0-based index. Non-numeric
@@ -88,11 +88,7 @@ def load_csv(path, column, cap: int | None = None) -> Dataset:
                 f"{path} row {lineno}: value {row[idx]!r} is not finite"
             )
         v = int(round(v))
-        if v < 0:
-            v = 0
-        if cap is not None and v > cap:
-            v = cap
-        values.append(v)
+        values.append(min(max(v, 0), cap))
     if skipped or not values:
         log.warning(
             "loaded %d values from %s (skipped %d non-numeric rows)",

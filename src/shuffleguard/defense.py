@@ -210,7 +210,7 @@ def plan_hsdp(base: BaseProtocol, n, epsilon, delta, beta) -> TreePlan:
 
 
 def plan_ohsdp(
-    base: BaseProtocol, n, epsilon, delta, beta, lam: int, k_hat: int = 1
+    base: BaseProtocol, n, epsilon, delta, beta, lam: int, k_hat: int
 ) -> TreePlan:
     """The hsdp tree with bottom groups widened to lam users.
 

@@ -4,7 +4,7 @@ A trial is fully determined by (config, seed, trial index): the dataset is
 derived from the seed alone (shared by all trials of an experiment), while
 provisioning, honest noise, and adversary choices each draw from
 independent per-trial streams. A trial holds each tree level as arrays
-from provisioning to the published answer (see ``run_trial``). Reported
+from the first draw to the published answer (see ``run_trial``). Reported
 metrics follow the usual robust-benchmark conventions: per-metric
 trimmed means over T trials (dropping the top and bottom 10%) plus the
 raw detection rate.
@@ -256,7 +256,7 @@ def make_strategy(config: ExperimentConfig, plan: TreePlan):
     if config.attack == "drop":
         return adv.DropNoise()
     if config.attack == "alter":
-        return adv.AlterInput(forged=plan.query.max_input)
+        return adv.AlterInput()
     return adv.Impersonate(msgs=config.attack_msgs_eff)
 
 
@@ -266,7 +266,7 @@ def run_trial(
     plan: TreePlan,
     dataset: Dataset,
 ) -> TrialResult:
-    """One full protocol round: provision, randomize, shuffle, analyze.
+    """One full protocol round: randomize, attack, fold, analyze.
 
     ``plan`` and ``dataset`` are ``build_plan(config)`` and
     ``experiment_dataset(config)``, built once per experiment.
@@ -274,12 +274,13 @@ def run_trial(
     The round of the message-level API (``make_inboxes``,
     ``randomize_all``, ``submit``, ``shuffle``, ``analyze``) with one
     array per level in place of messages, which the additivity of
-    ``base.fold`` allows: honest traffic is drawn as per-level tallies,
-    each adversary envelope's fold row is added to the row of the node its
-    token names, and detection runs on the finished rows. Payloads under a
-    token that names no node are rejected and counted; accepted payloads
-    outside the protocol's alphabet are left out of the fold and counted
-    as malformed.
+    ``base.fold`` allows: honest traffic is drawn as per-level tallies, a
+    corrupted user's payloads of each level are folded into its own
+    group's row, and detection runs on the finished rows. Only
+    ``Impersonate`` sends under a token that can miss, so tokens are
+    provisioned and looked up for it alone: payloads under a token that
+    names no node are rejected and counted. Accepted payloads outside the
+    protocol's alphabet are left out of the fold and counted as malformed.
     """
     start = time.perf_counter()
     q = plan.query
@@ -290,30 +291,39 @@ def run_trial(
         np.random.default_rng(s) for s in ss.spawn(3)
     )
 
-    tokens = provision(plan, rng_prov)
-
     strategy = make_strategy(config, plan)
     honest = np.ones(config.n, dtype=bool)
     corrupted = adv.corrupt_users(config.n, config.k, rng_adv)
-    if strategy is not None:
-        for i in corrupted.ids:
-            honest[i - 1] = False
+    attackers = sorted(corrupted.ids) if strategy is not None else []
+    for i in attackers:
+        honest[i - 1] = False
 
     tallies, honest_msgs = tally_all(plan, xs, rng_honest, honest)
-    rejected_msgs = malformed_msgs = 0
-    if strategy is not None:
-        for i in sorted(corrupted.ids):
+    if isinstance(strategy, adv.Impersonate):
+        # A guessed token is the one token that can name no node.
+        tokens = provision(plan, rng_prov)
+        sent = (
+            (tokens.node_of(e.token), e.payloads)
+            for i in attackers
             for e in adv.malicious_envelopes(
                 strategy, i, plan, tokens, rng_adv, x=int(xs[i - 1])
-            ):
-                node = tokens.node_of(e.token)
-                if node is None:
-                    rejected_msgs += int(e.payloads.size)
-                    continue
-                row, malformed = plan.base.fold(e.payloads)
-                malformed_msgs += malformed
-                r, g = node
-                tallies[r - 1][g - 1] += row
+            )
+        )
+    else:  # each user's own token of a level names its group
+        sent = (
+            ((lp.r, plan.group_of(i, lp.r)),
+             strategy.payloads(plan.base, lp, int(xs[i - 1]), rng_adv))
+            for i in attackers for lp in plan.levels
+        )
+    rejected_msgs = malformed_msgs = 0
+    for node, payloads in sent:
+        if node is None:
+            rejected_msgs += int(payloads.size)
+            continue
+        row, malformed = plan.base.fold(payloads)
+        malformed_msgs += malformed
+        r, g = node
+        tallies[r - 1][g - 1] += row
 
     estimate, report = detect(plan, [plan.base.finish(t) for t in tallies])
 

@@ -9,9 +9,9 @@ tokens stripped.
 
 Every analyzer is a symmetric fold over that multiset, so no order it
 could observe needs simulating, and a trial keeps only each level's fold
-(see ``harness.run_trial``). ``TokenTable`` therefore holds the tokens of
-one run as one int64 id array per level and finds the node of a token id
-by binary search in a sorted copy.
+(see ``harness.run_trial``). Only a guessed token can miss, so a trial
+provisions a ``TokenTable`` (one int64 id array per level, searched with
+one vector comparison) for impersonation alone.
 
 The message-level form stays for tests and tracing: ``make_inboxes``
 gives one ``ShufflerInbox`` per node, which accepts ``Envelope``s (one
@@ -84,15 +84,12 @@ class TokenTable:
         starts = np.cumsum([0, *level_sizes])
         while True:  # one draw, redrawn whole on a duplicate id
             ids = rng.integers(0, 1 << 63, size=starts[-1], dtype=np.int64)
-            order = np.argsort(ids)
-            ordered = ids[order]
+            ordered = np.sort(ids)
             if not (ordered[1:] == ordered[:-1]).any():
                 break
         self.ids = ids
         self.levels = np.split(ids, starts[1:-1])
         self._starts = starts
-        self._order = order
-        self._sorted = ordered
 
     def __len__(self) -> int:
         return int(self.ids.size)
@@ -101,10 +98,10 @@ class TokenTable:
         """The (level, group) whose token is ``token_id``, or None."""
         if not 0 <= token_id < 1 << 63:
             return None
-        i = int(np.searchsorted(self._sorted, token_id))
-        if i == self._sorted.size or self._sorted[i] != token_id:
+        hits = np.flatnonzero(self.ids == token_id)
+        if not hits.size:
             return None
-        flat = int(self._order[i])
+        flat = int(hits[0])
         level = int(np.searchsorted(self._starts, flat, side="right"))
         return level, flat - int(self._starts[level - 1]) + 1
 

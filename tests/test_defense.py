@@ -100,7 +100,7 @@ class TestPlans:
             plan_hsdp(count_base(), 12, 1.0, 0.01, 0.1)
 
     def test_ohsdp_structure(self):
-        plan = plan_ohsdp(count_base(), 16, 1.0, 0.01, 0.1, lam=4)
+        plan = plan_ohsdp(count_base(), 16, 1.0, 0.01, 0.1, lam=4, k_hat=1)
         assert [lp.group_size for lp in plan.levels] == [4, 8, 16]
         assert plan.num_shufflers == 2 * 4 - 1
 
@@ -131,7 +131,7 @@ class TestPlans:
         for plan in (
             plan_bsdp(count_base(), 16, 1.0, 0.01, 0.1),
             plan_hsdp(count_base(), 16, 1.0, 0.01, 0.1),
-            plan_ohsdp(count_base(), 16, 1.0, 0.01, 0.1, lam=4),
+            plan_ohsdp(count_base(), 16, 1.0, 0.01, 0.1, lam=4, k_hat=1),
         ):
             assert sum(lp.budget.epsilon for lp in plan.levels) <= 1.0 + 1e-9
             assert sum(lp.budget.delta for lp in plan.levels) <= 0.01 + 1e-9
@@ -266,7 +266,7 @@ class TestGroupOf:
         assert plan.group_of(8, 4) == 1
 
     def test_with_wide_bottom(self):
-        plan = plan_ohsdp(count_base(), 8, 1.0, 0.01, 0.1, lam=4)
+        plan = plan_ohsdp(count_base(), 8, 1.0, 0.01, 0.1, lam=4, k_hat=1)
         assert plan.group_of(5, 1) == 2
         assert plan.group_of(4, 1) == 1
 
@@ -309,7 +309,7 @@ class TestAnalyze:
         for plan in (
             plan_susdp(count_base(), 8, INF, 0.01, 0.1),
             plan_hsdp(count_base(), 8, INF, 0.01, 0.1),
-            plan_ohsdp(count_base(), 8, INF, 0.01, 0.1, lam=4),
+            plan_ohsdp(count_base(), 8, INF, 0.01, 0.1, lam=4, k_hat=1),
         ):
             out, report = run_round(plan, xs)
             assert out == 6

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shuffleguard import harness
+from shuffleguard import adversary, harness
 from shuffleguard.adversary import corrupt_users, malicious_envelopes
 from shuffleguard.defense import analyze, randomize_all
 from shuffleguard.harness import (
@@ -28,7 +28,7 @@ from shuffleguard.harness import (
     run_experiment,
     run_trial,
 )
-from shuffleguard.runtime import provision
+from shuffleguard.runtime import Envelope, provision
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -144,6 +144,52 @@ def test_message_level_path_in_lock_step(name, monkeypatch):
         assert result.flagged_nodes == len(want_report.flagged)
         assert result.msgs_per_user == honest_msgs / config.n
         assert result.rejected_msgs == rejected
+
+
+
+@pytest.mark.parametrize("node", [(1, 3), (9, 1)], ids=["bottom", "root"])
+def test_guessed_token_on_a_provisioned_id_is_folded(node, monkeypatch):
+    # A guess that equals a provisioned id is accepted by the shuffler it
+    # names: run_trial folds it into that node, as the message-level
+    # path does, and rejects nothing.
+    config = CONFIGS["count-hsdp-impersonate"]
+    plan = build_plan(config)
+    dataset = experiment_dataset(config)
+    assert len(plan.levels) == 9
+    r, g = node
+    levels = []
+
+    def detect(plan, estimates):
+        levels.append([e.copy() for e in estimates])
+        return harness_detect(plan, estimates)
+
+    def forced(strategy, i, plan, tokens, rng, x):
+        return [
+            Envelope(int(tokens.levels[r - 1][g - 1]), e.payloads)
+            for e in guessed(strategy, i, plan, tokens, rng, x=x)
+        ]
+
+    harness_detect, guessed = harness.detect, malicious_envelopes
+    monkeypatch.setattr(harness, "detect", detect)
+    missed = run_trial(config, 0, plan=plan, dataset=dataset)
+    monkeypatch.setattr(adversary, "malicious_envelopes", forced)
+    monkeypatch.setitem(globals(), "malicious_envelopes", forced)
+    hit = run_trial(config, 0, plan=plan, dataset=dataset)
+
+    msgs = config.attack_msgs_eff
+    assert (missed.rejected_msgs, hit.rejected_msgs) == (msgs, 0)
+    for level, (before, after) in enumerate(zip(*levels), start=1):
+        shift = np.zeros_like(before)
+        if level == r:
+            shift[g - 1] = msgs  # one +1 token each
+        np.testing.assert_array_equal(after - before, shift)
+    want, want_report, _, rejected = message_level_trial(
+        config, 0, plan, dataset
+    )
+    assert rejected == 0
+    estimate, report = harness_detect(plan, levels[1])
+    np.testing.assert_array_equal(estimate, want)
+    assert report.flagged == want_report.flagged
 
 
 if __name__ == "__main__":

@@ -87,26 +87,26 @@ class TestLoadCsv:
     def test_header_skipped_by_index(self, tmp_path, caplog):
         f = tmp_path / "d.csv"
         f.write_text("value\n4\n5\n")
-        d = load_csv(f, 0)
+        d = load_csv(f, 0, cap=5)
         np.testing.assert_array_equal(d.values, [4, 5])
 
     def test_empty_file_warns(self, tmp_path, caplog):
         f = tmp_path / "empty.csv"
         f.write_text("")
         with caplog.at_level("WARNING"):
-            d = load_csv(f, 0)
+            d = load_csv(f, 0, cap=1)
         assert d.values.size == 0
         assert caplog.records
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_csv(tmp_path / "nope.csv", 0)
+            load_csv(tmp_path / "nope.csv", 0, cap=1)
 
     def test_missing_column(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("a\n1\n")
         with pytest.raises(KeyError):
-            load_csv(f, "b")
+            load_csv(f, "b", cap=1)
 
 
 class TestTrimmedMean:
@@ -181,6 +181,28 @@ class TestRunTrial:
         run_trial(cfg, 0, plan, experiment_dataset(cfg))
         accepted = {"none": 0, "impersonate": 0}.get(attack, len(plan.levels))
         assert len(calls) == accepted
+
+    @pytest.mark.parametrize("query", ["count", "sum", "hist", "range"])
+    @pytest.mark.parametrize(
+        "attack", ["none", "flood", "drop", "alter", "impersonate"]
+    )
+    def test_tokens_provisioned_only_for_impersonation(
+        self, query, attack, monkeypatch
+    ):
+        # A corrupted user's own token always names its own group; only a
+        # guessed token can miss, so only impersonation needs tokens.
+        cfg = ExperimentConfig(
+            query=query, u=3, protocol="hsdp", n=16, k=1, attack=attack,
+            trials=1, seed=4,
+        )
+        calls = []
+        provision = harness.provision
+        monkeypatch.setattr(
+            harness, "provision",
+            lambda plan, rng: calls.append(1) or provision(plan, rng),
+        )
+        run_trial(cfg, 0, build_plan(cfg), experiment_dataset(cfg))
+        assert len(calls) == (attack == "impersonate")
 
     @pytest.mark.parametrize("query", ["count", "sum", "hist", "range"])
     def test_malformed_payloads_discarded_and_counted(self, query, monkeypatch):

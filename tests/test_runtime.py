@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from shuffleguard.defense import plan_bsdp, plan_hsdp, plan_ohsdp, plan_susdp
 from shuffleguard.protocols import CountProtocol
 from shuffleguard.queries import Query, QueryKind
-from shuffleguard.runtime import Envelope, ShufflerInbox, ShufflerToken, provision
+from shuffleguard.runtime import (
+    Envelope, ShufflerInbox, ShufflerToken, TokenTable, provision,
+)
 
 
 def count_base():
@@ -21,7 +23,7 @@ class TestProvision:
         assert len(tokens) == 2 * 4 - 1
 
     def test_wide_bottom_token_count(self):
-        plan = plan_ohsdp(count_base(), 8, 1.0, 0.01, 0.1, lam=4)
+        plan = plan_ohsdp(count_base(), 8, 1.0, 0.01, 0.1, lam=4, k_hat=1)
         tokens = provision(plan, np.random.default_rng(0))
         assert len(tokens) == 2 * (8 // 4) - 1
 
@@ -46,7 +48,7 @@ class TestProvision:
         lambda: plan_susdp(count_base(), 16, 1.0, 0.01, 0.1),
         lambda: plan_bsdp(count_base(), 16, 1.0, 0.01, 0.1),
         lambda: plan_hsdp(count_base(), 32, 1.0, 0.01, 0.1),
-        lambda: plan_ohsdp(count_base(), 64, 1.0, 0.01, 0.1, lam=8),
+        lambda: plan_ohsdp(count_base(), 64, 1.0, 0.01, 0.1, lam=8, k_hat=1),
     ]),
     seed=st.integers(0, 2**32 - 1),
     guess=st.integers(-(1 << 64), 1 << 64),
@@ -62,6 +64,26 @@ def test_node_of_finds_every_node_and_no_guess(make, seed, guess):
             assert tokens.node_of(tid + 1) is None
     assume(guess not in ids)
     assert tokens.node_of(guess) is None
+
+
+def test_duplicate_id_redraws_whole_table():
+    class Stub:
+        """A generator whose first draw repeats an id."""
+
+        def __init__(self):
+            self.draws = [[5, 9, 5], [3, 1, 2]]
+
+        def integers(self, low, high, size, dtype):
+            return np.asarray(self.draws.pop(0), dtype=dtype)
+
+    stub = Stub()
+    tokens = TokenTable([2, 1], stub)
+    assert not stub.draws
+    np.testing.assert_array_equal(tokens.ids, [3, 1, 2])
+    assert [level.tolist() for level in tokens.levels] == [[3, 1], [2]]
+    assert [tokens.node_of(t) for t in (3, 1, 2, 5)] == [
+        (1, 1), (1, 2), (2, 1), None,
+    ]
 
 
 class TestSubmit:
