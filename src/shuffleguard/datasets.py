@@ -51,10 +51,12 @@ def gen_dataset(dist: str, n: int, domain_size: int, seed) -> Dataset:
 def load_csv(path, column, cap: int) -> Dataset:
     """One numeric column of a CSV file, clamped to [0, cap].
 
-    ``column`` selects by header name or by 0-based index. Non-numeric
-    rows (including a header row when selecting by index) are skipped and
-    tallied in a warning; a non-finite number (nan, inf, or one too large
-    for a float) is an error naming its row.
+    ``column`` selects by header name or by 0-based index. A name that is
+    not in the header, or a column of a non-empty file that gives no
+    number, is a KeyError; an empty file loads no values, with a warning.
+    Non-numeric rows (including a header row when selecting by index) are
+    skipped and tallied in a warning; a non-finite number (nan, inf, or
+    one too large for a float) is an error naming its row.
     """
     path = Path(path)
     if not path.exists():
@@ -64,6 +66,7 @@ def load_csv(path, column, cap: int) -> Dataset:
 
     idx = None
     first_row = 1  # the file row of rows[0], counting from 1
+    nonempty = any(rows)
     if isinstance(column, int) or (isinstance(column, str) and column.isdigit()):
         idx = int(column)
     elif rows:
@@ -89,6 +92,10 @@ def load_csv(path, column, cap: int) -> Dataset:
             )
         v = int(round(v))
         values.append(min(max(v, 0), cap))
+    if nonempty and not values:
+        raise KeyError(
+            f"column {column!r} not found in {path}: no row has a number there"
+        )
     if skipped or not values:
         log.warning(
             "loaded %d values from %s (skipped %d non-numeric rows)",

@@ -6,6 +6,20 @@ DLap(p), and a geometric(p) variable is the sum of m independent
 NB(1/m, p) draws. Each user in a group of size m therefore contributes an
 NB(1/m, p) pair of positive and negative shares, and the group aggregate
 carries exactly DLap(p) noise.
+
+``nb_sample`` draws NB(r, p) as poisson(gamma(r, p/(1-p))) and makes
+the gamma draws cheaply, using four facts about numpy's ``Generator``:
+gamma(r, s) is s times standard_gamma(r); standard_gamma(1) is one
+standard exponential draw, the draw that ``standard_exponential`` fills
+with; standard_gamma(0) is 0 and draws nothing; and a call with an
+array of r draws element by element, in element order, exactly as
+scalar calls over the same elements do. So, for an array of r, a run
+of r = 1 is one exponential fill, a run of r = 0 is no draw, and the
+draws and the generator state after them are those of the one broadcast
+``gamma`` call, which costs about twice as much per element. A scalar r
+is drawn by one scalar ``gamma`` call. The Poisson draw is unchanged.
+``tests/test_noise.py::test_nb_sample_is_gamma_poisson`` pins these
+facts.
 """
 
 from __future__ import annotations
@@ -15,6 +29,10 @@ import math
 import numpy as np
 
 from .errors import ParameterError
+
+#: Runs of one r shorter than this are drawn together, in one per-element
+#: gamma call, rather than by one call each.
+MIN_RUN = 64
 
 
 def noise_base(epsilon_eff: float, sensitivity: int) -> float:
@@ -58,6 +76,34 @@ def dlap_threshold(epsilon_eff: float, sensitivity: int, beta: float) -> int:
     return t
 
 
+def _standard_gamma(r: np.ndarray, rng: np.random.Generator, out: np.ndarray):
+    """Fill ``out`` with the draws of ``rng.standard_gamma(r)``, run by run.
+
+    ``r`` and ``out`` are flat and of one length. A run of equal r of at
+    least ``MIN_RUN`` elements is drawn as a scalar: one
+    ``standard_exponential`` fill for r = 1, zeros and no draw for r = 0,
+    and one scalar ``standard_gamma`` call otherwise. The shorter runs
+    between two long ones are drawn together, in one per-element
+    ``standard_gamma`` call.
+    """
+    starts = np.concatenate([[0], np.flatnonzero(r[1:] != r[:-1]) + 1])
+    long = np.diff(starts, append=r.size) >= MIN_RUN
+    # A call starts at each long run and at each short run after a long one.
+    cut = long.copy()
+    cut[1:] |= long[:-1]
+    cut[0] = True
+    calls = starts[cut].tolist()
+    for s, e, is_run in zip(calls, calls[1:] + [r.size], long[cut].tolist()):
+        if not is_run:
+            rng.standard_gamma(r[s:e], out=out[s:e])
+        elif r[s] == 1.0:
+            rng.standard_exponential(out=out[s:e])
+        elif r[s] == 0.0:
+            out[s:e] = 0.0
+        else:
+            rng.standard_gamma(r[s], out=out[s:e])
+
+
 def nb_sample(r, p: float, rng: np.random.Generator, size=None) -> np.ndarray:
     """Negative binomial NB(r, p) with pmf proportional to C(k+r-1, k)(1-p)^r p^k.
 
@@ -66,10 +112,27 @@ def nb_sample(r, p: float, rng: np.random.Generator, size=None) -> np.ndarray:
     r = 0 degenerates to the constant 0. At r = 1 this is geometric(p)
     with mean p/(1-p). The draws are an int64 array of shape ``size``,
     or of the shape of ``r`` when ``size`` is None.
+
+    The draws and the generator state after them are exactly those of
+    ``rng.poisson(rng.gamma(r, p/(1-p), size))``, the sampler's
+    definition, but made the cheaper way the module docstring describes;
+    ``tests/test_noise.py::test_nb_sample_is_gamma_poisson`` pins this.
     """
     if np.any(np.asarray(r) < 0):
         raise ParameterError("r must be nonnegative")
     if p <= 0.0:
         return np.zeros(np.shape(r) if size is None else size, dtype=np.int64)
-    lam = rng.gamma(r, p / (1.0 - p), size=size)
+    scale = p / (1.0 - p)
+    if np.ndim(r) == 0:
+        # One r is one run, drawn with no search for runs: searching a
+        # broadcast scalar made flat-sum-flood (sum's per-user shares,
+        # 16 calls of 65,536 draws per trial) about 4% slower.
+        lam = rng.gamma(r, scale, size)
+    else:
+        r = np.broadcast_to(
+            np.asarray(r, dtype=float), np.shape(r) if size is None else size
+        )
+        lam = np.empty(r.shape)
+        _standard_gamma(r.reshape(-1), rng, lam.reshape(-1))
+        lam *= scale
     return np.asarray(rng.poisson(lam), dtype=np.int64)

@@ -37,7 +37,9 @@ contiguous runs of m users), and then takes one of two forms:
   - ``tally_level``: the level's ``(groups, bins)`` tally, whose row g
     finishes as the fold of group g's payloads does, plus the exact
     honest message count. No payload is materialized; envelopes' fold
-    rows add to its rows.
+    rows add to its rows. The token protocols add the level's data-token
+    rows, from one ``bins_of`` over all users less the corrupted users'
+    units, to its positive noise in place.
   - ``randomize_level``: the same draw as one payload array per group, for
     the message-level path. The token protocols list each group's codes
     in code order through ``_emit_codes``.
@@ -98,13 +100,13 @@ def _emit_codes(counts: np.ndarray) -> tuple[list[np.ndarray], int]:
     return groups, int(payloads.size)
 
 
-def _honest_per_group(honest: np.ndarray, m: int) -> np.ndarray:
-    """Honest users per group of m, groups contiguous."""
+def _by_group(honest: np.ndarray, m: int) -> np.ndarray:
+    """The honest mask as one row per group of m users, groups contiguous."""
     if m < 1 or honest.size % m:
         raise ParameterError(
             f"{honest.size} users do not split into groups of {m}"
         )
-    return honest.reshape(-1, m).sum(axis=1)
+    return honest.reshape(-1, m)
 
 
 class BaseProtocol:
@@ -219,7 +221,7 @@ class SumProtocol(BaseProtocol):
         share, mod q), the uniform residues that split it into
         ``shares`` shares (last column not yet set), and the honest users
         per group. Groups are contiguous."""
-        hcount = _honest_per_group(honest, m)
+        hcount = _by_group(honest, m).sum(axis=1)
         p = noise_base(epsilon, self.query.domain_size)
         hxs = xs[honest]
         # Built in place: each array here holds one int64 per honest user.
@@ -287,28 +289,44 @@ class _TokenProtocol(BaseProtocol):
     def _noise_p(self, epsilon: float) -> float:
         return noise_base(epsilon / self.per_user, 1)
 
-    def _draw(self, xs, epsilon, m, rng, honest):
-        """A level's ``(groups, 2*bins)`` code counts, data tokens
-        included: codes ``1..bins``, then ``-1..-bins``."""
-        hcount = _honest_per_group(honest, m)
-        ng = hcount.size
+    def _noise(self, epsilon, groups, rng):
+        """A level's ``(groups, bins)`` positive and negative noise token
+        counts: NB(h/m, p) per bin and sign, for the h honest users of
+        each row of the ``(groups, m)`` honest mask."""
         p = self._noise_p(epsilon)
-        r = (hcount / m)[:, None]
-        pos = nb_sample(np.broadcast_to(r, (ng, self.bins)), p, rng)
-        neg = nb_sample(np.broadcast_to(r, (ng, self.bins)), p, rng)
-        user_group = np.arange(xs.size) // m
-        owner, col = bins_of(self.query, xs[honest])
-        cell = user_group[honest][owner] * self.bins + col
-        data = np.bincount(cell, minlength=ng * self.bins).reshape(ng, self.bins)
-        return np.hstack([pos + data, neg])
+        share = groups.mean(axis=1)  # h/m exactly: a sum of 0s and 1s
+        r = np.broadcast_to(share[:, None], (share.size, self.bins))
+        pos = nb_sample(r, p, rng)
+        neg = nb_sample(r, p, rng)
+        return pos, neg
+
+    def _data_rows(self, xs, honest, m):
+        """The ``(groups, bins)`` data token counts of the honest users:
+        the units ``bins_of`` gives all users, less the others' units."""
+        b = self.bins
+        owner, col = bins_of(self.query, xs)
+        # The cell of a unit is its owner's group times b plus its bin.
+        owner //= m
+        owner *= b
+        owner += col
+        rows = np.bincount(owner, minlength=xs.size // m * b)
+        others = np.flatnonzero(~honest)
+        owner, col = bins_of(self.query, xs[others])
+        np.subtract.at(rows, others[owner] // m * b + col, 1)
+        return rows.reshape(-1, b)
 
     def randomize_level(self, xs, epsilon, m, rng, honest):
-        return _emit_codes(self._draw(xs, epsilon, m, rng, honest))
+        pos, neg = self._noise(epsilon, _by_group(honest, m), rng)
+        pos += self._data_rows(xs, honest, m)
+        return _emit_codes(np.hstack([pos, neg]))
 
     def tally_level(self, xs, epsilon, m, rng, honest):
-        counts = self._draw(xs, epsilon, m, rng, honest)
-        b = self.bins
-        return counts[:, :b] - counts[:, b:], int(counts.sum())
+        tally, neg = self._noise(epsilon, _by_group(honest, m), rng)
+        rows = self._data_rows(xs, honest, m)
+        count = int(tally.sum()) + int(neg.sum()) + int(rows.sum())
+        tally -= neg
+        tally += rows
+        return tally, count
 
     def fold(self, payloads):
         # Code c lands in slot c + bins + 1. Slots 0, bins + 1 and

@@ -126,7 +126,7 @@ def check_domain(q: Query, values: np.ndarray) -> None:
 def bins_of(q: Query, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (owner, bin) of every unit that in-domain ``values`` add to a
     count, hist or range answer: ``owner`` indexes ``values`` and ``bin``
-    is the flattened bin the unit raises.
+    is the flattened bin the unit raises. ``owner`` is always a new array.
 
       - count: x units in bin 0 for the value x;
       - hist:  one unit in bin x;

@@ -19,6 +19,7 @@ from shuffleguard.defense import (
     plan_ohsdp,
     plan_susdp,
     randomize_all,
+    tally_all,
 )
 from shuffleguard.errors import ParameterError, StructureError
 from shuffleguard.harness import ExperimentConfig, run_trial
@@ -301,6 +302,42 @@ class TestRandomizeUser:
             np.testing.assert_array_equal(
                 by_token[int(tokens.levels[r - 1][g - 1])], [1]
             )
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize(
+    "query",
+    [Query(QueryKind.COUNT), Query(QueryKind.HISTOGRAM, 3),
+     Query(QueryKind.RANGE_TREE, 7)],
+    ids=["count", "hist", "range"],
+)
+@pytest.mark.parametrize(
+    "variant",
+    [Variant.SUSDP, Variant.BSDP, Variant.HSDP, Variant.OHSDP],
+    ids=lambda v: v.value,
+)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_noiseless_tallies_are_honest_answers(variant, query, n, seed):
+    # At epsilon = inf a level's tally is its data tokens alone: row g
+    # is the answer over group g's honest users, at every level. This
+    # checks the roll-up of data rows and the removal of the corrupted
+    # users' units without the golden seeds.
+    plan = make_plan(
+        variant, make_base(query, n), n, INF, 0.01, 0.1, lam=4, k_hat=1
+    )
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, query.max_input + 1, size=n)
+    honest = rng.random(n) < rng.random()
+    tallies, _ = tally_all(plan, xs, rng, honest)
+    assert len(tallies) == len(plan.levels)
+    for lp, tally in zip(plan.levels, tallies):
+        m = lp.group_size
+        want = [
+            np.atleast_1d(eval_query(query, xs[g : g + m][honest[g : g + m]]))
+            for g in range(0, n, m)
+        ]
+        np.testing.assert_array_equal(tally, np.stack(want))
 
 
 class TestAnalyze:

@@ -108,6 +108,25 @@ class TestLoadCsv:
         with pytest.raises(KeyError):
             load_csv(f, "b", cap=1)
 
+    @pytest.mark.parametrize(
+        "text,column",
+        [("1\n2\n\n", 5), ("1\n2\n\n", "5"), ("1\n2\n\n", 1),
+         ("v\n", 0), ("v\n", "v"), ("a,b\nx,1\n", "a")],
+        ids=["past-rows", "past-rows-str", "past-rows-1", "header-only",
+             "header-only-name", "no-number"],
+    )
+    def test_column_without_values(self, tmp_path, text, column):
+        # Not zero values padded to n: the same error as a missing name.
+        f = tmp_path / "one.csv"
+        f.write_text(text)
+        with pytest.raises(KeyError, match="not found"):
+            load_csv(f, column, cap=1)
+
+    def test_index_reached_by_some_row(self, tmp_path):
+        f = tmp_path / "ragged.csv"
+        f.write_text("1\n2,1\n")
+        np.testing.assert_array_equal(load_csv(f, 1, cap=1).values, [1])
+
 
 class TestTrimmedMean:
     def test_matches_sort_and_slice(self):

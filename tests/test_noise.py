@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from shuffleguard.errors import ParameterError
 from shuffleguard.noise import (
+    MIN_RUN,
     dlap_pmf,
     dlap_tail,
     dlap_threshold,
@@ -103,6 +106,79 @@ class TestNbSample:
                 1.0, p, rng, size=10_000
             )
             assert np.mean(np.abs(z) >= t) <= 1.5 * beta
+
+
+def gamma_poisson(r, p, rng, size=None):
+    """The sampler's definition: one broadcast gamma call, then Poisson."""
+    return np.asarray(rng.poisson(rng.gamma(r, p / (1 - p), size=size)), np.int64)
+
+
+@st.composite
+def r_patterns(draw):
+    """(r, size) as the protocols pass them: a scalar share 1/m with a
+    size, or a (groups, bins) broadcast view of hcount/m whose runs of 0,
+    1 and fractions are long, short or alternating."""
+    if draw(st.booleans()):
+        m = draw(st.sampled_from([1, 2, 3, 512]))
+        r = draw(st.sampled_from([0.0, 1.0, 1.0 / m]))
+        return r, draw(st.sampled_from([None, 0, 1, 5, 200, (3, 70)]))
+    m = draw(st.sampled_from([1, 2, 4]))
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, m), st.sampled_from([1, 3, MIN_RUN, 150])),
+        max_size=6,
+    ))
+    hcount = np.repeat(
+        np.array([h for h, _ in runs], dtype=np.int64),
+        [k for _, k in runs],
+    )
+    bins = draw(st.sampled_from([1, 3]))
+    return np.broadcast_to((hcount / m)[:, None], (hcount.size, bins)), None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pattern=r_patterns(),
+    p=st.sampled_from([0.0, math.exp(-1.0), 0.99]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nb_sample_is_gamma_poisson(pattern, p, seed):
+    # Same draws and same generator state after as the one broadcast
+    # gamma call: this pins the numpy identities nb_sample relies on.
+    r, size = pattern
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = nb_sample(r, p, rng_a, size=size)
+    if p == 0.0:
+        want = np.zeros(np.shape(r) if size is None else size, np.int64)
+    else:
+        want = gamma_poisson(r, p, rng_b, size=size)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [0, 1, 2 * MIN_RUN + 1, 10_000])
+def test_nb_sample_alternating_r_is_few_calls(size):
+    # Alternating 0/1 is the worst case for runs: every run is short, so
+    # they are drawn together rather than by one call each.
+    class Spy:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def __getattr__(self, name):
+            method = getattr(self.rng, name)
+
+            def call(*args, **kwargs):
+                self.calls += 1
+                return method(*args, **kwargs)
+
+            return call
+
+    r = (np.arange(size) % 2).astype(float)
+    spy = Spy(np.random.default_rng(size))
+    got = nb_sample(r, 0.5, spy)
+    assert spy.calls <= size // MIN_RUN + 2
+    want = gamma_poisson(r, 0.5, np.random.default_rng(size))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_noise_base_validates():
