@@ -2,10 +2,8 @@
 poisoning-attack defenses and an experiment harness."""
 
 from .defense import (
-    DetectionReport,
     TreePlan,
     Variant,
-    analyze,
     detect,
     make_plan,
     plan_base,
@@ -13,7 +11,6 @@ from .defense import (
     plan_hsdp,
     plan_ohsdp,
     plan_susdp,
-    randomize_all,
     tally_all,
 )
 from .errors import (
@@ -22,7 +19,6 @@ from .errors import (
     ProtocolError,
     ShapeError,
     ShuffleguardError,
-    StructureError,
 )
 from .harness import (
     ExperimentConfig,
@@ -41,21 +37,20 @@ from .queries import (
     dis_to_range,
     eval_query,
 )
-from .runtime import Envelope, ShufflerInbox, provision
+from .runtime import Envelope, provision
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DetectionReport", "TreePlan", "Variant", "analyze", "detect",
-    "make_plan", "plan_base", "plan_bsdp", "plan_hsdp", "plan_ohsdp",
-    "plan_susdp", "randomize_all", "tally_all",
+    "TreePlan", "Variant", "detect", "make_plan", "plan_base", "plan_bsdp",
+    "plan_hsdp", "plan_ohsdp", "plan_susdp", "tally_all",
     "DomainError", "ParameterError", "ProtocolError", "ShapeError",
-    "ShuffleguardError", "StructureError",
+    "ShuffleguardError",
     "ExperimentConfig", "Summary", "TrialResult", "run_experiment",
     "run_trial", "sweep",
     "dlap_threshold", "nb_sample",
     "PrivacyBudget", "make_base",
     "Dataset", "Query", "QueryKind", "dis_to_range", "eval_query",
-    "Envelope", "ShufflerInbox", "provision",
+    "Envelope", "provision",
     "__version__",
 ]

@@ -51,13 +51,19 @@ def gen_dataset(dist: str, n: int, domain_size: int, seed) -> Dataset:
 def load_csv(path, column, cap: int) -> Dataset:
     """One numeric column of a CSV file, clamped to [0, cap].
 
-    ``column`` selects by header name or by 0-based index. A name that is
-    not in the header, or a column of a non-empty file that gives no
-    number, is a KeyError; an empty file loads no values, with a warning.
+    ``column`` selects by header name or by 0-based index; a bool or a
+    negative index is a ParameterError. A name that is not in the
+    header, or a column of a non-empty file that gives no number, is a
+    KeyError; an empty file loads no values, with a warning.
     Non-numeric rows (including a header row when selecting by index) are
     skipped and tallied in a warning; a non-finite number (nan, inf, or
     one too large for a float) is an error naming its row.
     """
+    # Python would read -1 as the last column, and True as column 1.
+    if isinstance(column, bool) or (isinstance(column, int) and column < 0):
+        raise ParameterError(
+            f"column index must be a nonnegative integer, got {column!r}"
+        )
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")

@@ -8,13 +8,13 @@ NB(1/m, p) pair of positive and negative shares, and the group aggregate
 carries exactly DLap(p) noise.
 
 ``nb_sample`` draws NB(r, p) as poisson(gamma(r, p/(1-p))) and makes
-the gamma draws cheaply, using four facts about numpy's ``Generator``:
+the gamma draws cheaply, using three facts about numpy's ``Generator``:
 gamma(r, s) is s times standard_gamma(r); standard_gamma(1) is one
 standard exponential draw, the draw that ``standard_exponential`` fills
-with; standard_gamma(0) is 0 and draws nothing; and a call with an
-array of r draws element by element, in element order, exactly as
-scalar calls over the same elements do. So, for an array of r, a run
-of r = 1 is one exponential fill, a run of r = 0 is no draw, and the
+with; and a call with an array of r draws element by element, in element
+order, exactly as scalar calls over the same elements do. So, for an
+array of r, a long run of r = 1 is one exponential fill, the elements
+between such runs are one per-element ``standard_gamma`` call, and the
 draws and the generator state after them are those of the one broadcast
 ``gamma`` call, which costs about twice as much per element. A scalar r
 is drawn by one scalar ``gamma`` call. The Poisson draw is unchanged.
@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import ParameterError
 
-#: Runs of one r shorter than this are drawn together, in one per-element
-#: gamma call, rather than by one call each.
+#: Runs of r = 1 shorter than this are drawn with their neighbours, in one
+#: per-element gamma call, rather than by one exponential fill each.
 MIN_RUN = 64
 
 
@@ -41,7 +41,13 @@ def noise_base(epsilon_eff: float, sensitivity: int) -> float:
         raise ParameterError("epsilon must be positive")
     if sensitivity <= 0:
         raise ParameterError("sensitivity must be positive")
-    return math.exp(-epsilon_eff / sensitivity)
+    p = math.exp(-epsilon_eff / sensitivity)
+    if p == 1.0:  # no finite threshold or noise scale exists
+        raise ParameterError(
+            f"epsilon {epsilon_eff:g} is too small for sensitivity "
+            f"{sensitivity}: exp(-epsilon/sensitivity) rounds to 1"
+        )
+    return p
 
 
 def dlap_pmf(z, p: float):
@@ -79,29 +85,25 @@ def dlap_threshold(epsilon_eff: float, sensitivity: int, beta: float) -> int:
 def _standard_gamma(r: np.ndarray, rng: np.random.Generator, out: np.ndarray):
     """Fill ``out`` with the draws of ``rng.standard_gamma(r)``, run by run.
 
-    ``r`` and ``out`` are flat and of one length. A run of equal r of at
-    least ``MIN_RUN`` elements is drawn as a scalar: one
-    ``standard_exponential`` fill for r = 1, zeros and no draw for r = 0,
-    and one scalar ``standard_gamma`` call otherwise. The shorter runs
-    between two long ones are drawn together, in one per-element
-    ``standard_gamma`` call.
+    ``r`` and ``out`` are flat and of one length. A run of r = 1 of at
+    least ``MIN_RUN`` elements is one ``standard_exponential`` fill; the
+    elements between two such runs are drawn together, in one
+    per-element ``standard_gamma`` call.
     """
+    if not r.size:
+        return
     starts = np.concatenate([[0], np.flatnonzero(r[1:] != r[:-1]) + 1])
-    long = np.diff(starts, append=r.size) >= MIN_RUN
-    # A call starts at each long run and at each short run after a long one.
-    cut = long.copy()
-    cut[1:] |= long[:-1]
+    ones = (np.diff(starts, append=r.size) >= MIN_RUN) & (r[starts] == 1.0)
+    # A call starts at each run of ones and at each other run after one.
+    cut = ones.copy()
+    cut[1:] |= ones[:-1]
     cut[0] = True
     calls = starts[cut].tolist()
-    for s, e, is_run in zip(calls, calls[1:] + [r.size], long[cut].tolist()):
-        if not is_run:
-            rng.standard_gamma(r[s:e], out=out[s:e])
-        elif r[s] == 1.0:
+    for s, e, is_ones in zip(calls, calls[1:] + [r.size], ones[cut].tolist()):
+        if is_ones:
             rng.standard_exponential(out=out[s:e])
-        elif r[s] == 0.0:
-            out[s:e] = 0.0
         else:
-            rng.standard_gamma(r[s], out=out[s:e])
+            rng.standard_gamma(r[s:e], out=out[s:e])
 
 
 def nb_sample(r, p: float, rng: np.random.Generator, size=None) -> np.ndarray:

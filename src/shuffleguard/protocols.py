@@ -1,4 +1,4 @@
-"""Base shuffle-DP protocols: randomizers, analyzers, and cost descriptors.
+"""Base shuffle-DP protocols: level draws, folds, thresholds and costs.
 
 Each protocol fixes a payload alphabet encoded as plain int64 codes so that
 whole levels can be randomized and analyzed with vectorized numpy calls:
@@ -41,7 +41,8 @@ contiguous runs of m users), and then takes one of two forms:
     rows, from one ``bins_of`` over all users less the corrupted users'
     units, to its positive noise in place.
   - ``randomize_level``: the same draw as one payload array per group, for
-    the message-level path. The token protocols list each group's codes
+    the message-level path, which the tests and the benchmark's traced
+    replay keep as an oracle. The token protocols list each group's codes
     in code order through ``_emit_codes``.
 
 Both make the same RNG calls, so they describe the same trial.
@@ -194,9 +195,6 @@ class BaseProtocol:
         """High-probability bound on |analyze(group) - truth| (detection theta)."""
         raise NotImplementedError
 
-    def expected_msgs(self, epsilon: float, m: int) -> float:
-        raise NotImplementedError
-
     def bits_per_msg(self) -> int:
         """Payload width; the shuffler-token bits are accounted separately."""
         raise NotImplementedError
@@ -264,9 +262,6 @@ class SumProtocol(BaseProtocol):
     def error_bound(self, epsilon, beta):
         return dlap_threshold(epsilon, self.query.domain_size, beta)
 
-    def expected_msgs(self, epsilon, m):
-        return float(self.shares)
-
     def bits_per_msg(self):
         return int(math.ceil(math.log2(self.modulus)))
 
@@ -275,25 +270,24 @@ class _TokenProtocol(BaseProtocol):
     """Signed per-bin tokens: codes +-(bin+1) over the query's bins.
 
     Each user sends a data token for each bin ``bins_of`` names for its
-    value (``per_user`` of them, at most) and, for every bin and sign, an
-    NB(1/m, p) share of noise tokens; the budget is split evenly over the
-    data tokens, so p = e^-(eps/per_user).
+    value and, for every bin and sign, an NB(1/m, p) share of noise
+    tokens. ``per_user``, the most data tokens a user sends, is the
+    number of units of the largest input: 1 for count and hist, one per
+    tree level for range. The budget is split evenly over them, so
+    p = e^-(eps/per_user).
     """
 
-    def __init__(self, query: Query, per_user: int = 1):
+    def __init__(self, query: Query):
         super().__init__(query)
         self.bins = query.num_bins
-        self.per_user = per_user
+        self.per_user = bins_of(query, np.array([query.max_input]))[0].size
         self.top = np.arange(1, self.bins + 1, dtype=np.int64)
-
-    def _noise_p(self, epsilon: float) -> float:
-        return noise_base(epsilon / self.per_user, 1)
 
     def _noise(self, epsilon, groups, rng):
         """A level's ``(groups, bins)`` positive and negative noise token
         counts: NB(h/m, p) per bin and sign, for the h honest users of
         each row of the ``(groups, m)`` honest mask."""
-        p = self._noise_p(epsilon)
+        p = noise_base(epsilon / self.per_user, 1)
         share = groups.mean(axis=1)  # h/m exactly: a sum of 0s and 1s
         r = np.broadcast_to(share[:, None], (share.size, self.bins))
         pos = nb_sample(r, p, rng)
@@ -342,10 +336,6 @@ class _TokenProtocol(BaseProtocol):
         per_token = dlap_threshold(epsilon / self.per_user, 1, beta / self.bins)
         return self.per_user * per_token
 
-    def expected_msgs(self, epsilon, m):
-        p = self._noise_p(epsilon)
-        return self.per_user + 2.0 * self.bins * p / (m * (1.0 - p))
-
     def bits_per_msg(self):
         return int(math.ceil(math.log2(self.bins))) + 1 if self.bins > 1 else 1
 
@@ -359,11 +349,9 @@ class CountProtocol(_TokenProtocol):
 
 def make_base(query: Query, n: int) -> BaseProtocol:
     """The base protocol of a query: split-and-mix for sum, the token
-    protocol for count, hist and range (one data token per tree level)."""
+    protocol for count, hist and range."""
     if query.kind is QueryKind.COUNT:
         return CountProtocol(query)
     if query.kind is QueryKind.SUM:
         return SumProtocol(query, n)
-    if query.kind is QueryKind.HISTOGRAM:
-        return _TokenProtocol(query)
-    return _TokenProtocol(query, per_user=len(query.tree_levels))
+    return _TokenProtocol(query)

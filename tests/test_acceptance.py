@@ -13,7 +13,7 @@ import numpy as np
 from scipy import stats
 
 from shuffleguard import adversary as adv
-from shuffleguard.defense import analyze, plan_ohsdp, randomize_all
+from shuffleguard.defense import plan_ohsdp, randomize_all
 from shuffleguard.harness import (
     ExperimentConfig,
     build_plan,
@@ -27,6 +27,8 @@ from shuffleguard.noise import nb_sample, dlap_threshold
 from shuffleguard.protocols import make_base
 from shuffleguard.queries import Query, QueryKind
 from shuffleguard.runtime import Envelope, provision
+
+from message_level import deliver
 
 INF = math.inf
 
@@ -111,22 +113,18 @@ def test_a04_detection_rate_transition():
         errs = []
         for t in range(runs):
             ss = np.random.SeedSequence((cfg.seed, m, t))
-            rng_prov, rng_honest, rng_adv, rng_shuf = (
-                np.random.default_rng(s) for s in ss.spawn(4)
+            rng_prov, rng_honest, rng_adv = (
+                np.random.default_rng(s) for s in ss.spawn(3)
             )
             tokens = provision(plan, rng_prov)
-            inboxes = tokens.make_inboxes()
             honest = np.ones(n, dtype=bool)
             honest[0] = False
             envs, _ = randomize_all(plan, ds.values, tokens, rng_honest, honest=honest)
             envs.extend(adv.malicious_envelopes(
                 strategy, 1, plan, tokens, rng_adv, x=0
             ))
-            by_id = {ib.token.id: ib for ib in inboxes.values()}
-            for e in envs:
-                by_id[e.token].submit(e)
-            shuffled = {node: ib.shuffle(rng_shuf) for node, ib in inboxes.items()}
-            out, report = analyze(plan, shuffled)
+            out, report, rejected = deliver(plan, tokens, envs)
+            assert rejected == 0
             detected += report.attack_detected
             errs.append(abs(out - truth))
         det.append(detected / runs)
@@ -333,19 +331,13 @@ def test_a09_small_instance_oracle_equivalence():
             tokens = provision(plan, rng)
             honest, _ = randomize_all(plan, xs, tokens, rng, np.ones(n, bool))
             for node in nodes:
-                inboxes = tokens.make_inboxes()
                 envs = list(honest)
                 if node is not None:
                     r, g = node
                     tid = int(tokens.levels[r - 1][g - 1])
                     envs.append(Envelope(tid, flood))
-                by_id = {ib.token.id: ib for ib in inboxes.values()}
-                for e in envs:
-                    by_id[e.token].submit(e)
-                shuffled = {
-                    nd: ib.shuffle(rng) for nd, ib in inboxes.items()
-                }
-                out, report = analyze(plan, shuffled)
+                out, report, rejected = deliver(plan, tokens, envs)
+                assert rejected == 0
                 want, want_flags = _oracle_tree(
                     kind, bits, lam, node, flood_msgs
                 )

@@ -23,6 +23,8 @@ from shuffleguard.protocols import (
 from shuffleguard.queries import Query, QueryKind
 from shuffleguard.runtime import provision
 
+from message_level import deliver
+
 INF = math.inf
 
 
@@ -177,7 +179,6 @@ class TestStructural:
         xs = np.asarray([1, 0, 1, 1, 0, 1, 1, 1], dtype=np.int64)
         rng = np.random.default_rng(3)
         tokens = provision(plan, rng)
-        inboxes = tokens.make_inboxes()
         honest = np.ones(8, dtype=bool)
         honest[4] = False  # user 5 is corrupted (x=0, forges 1)
         envs, _ = randomize_all(plan, xs, tokens, rng, honest=honest)
@@ -186,12 +187,7 @@ class TestStructural:
                 AlterInput(), 5, plan, tokens, rng, x=0
             )
         )
-        by_id = {ib.token.id: ib for ib in inboxes.values()}
-        for e in envs:
-            by_id[e.token].submit(e)
-        from shuffleguard.defense import analyze
-
-        shuffled = {node: ib.shuffle(rng) for node, ib in inboxes.items()}
-        out, report = analyze(plan, shuffled)
+        out, report, rejected = deliver(plan, tokens, envs)
+        assert rejected == 0
         assert out == 7  # truth 6, shifted by exactly +1
         assert not report.attack_detected

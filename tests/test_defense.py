@@ -28,6 +28,8 @@ from shuffleguard.protocols import CountProtocol, make_base
 from shuffleguard.queries import Query, QueryKind, dis_to_range, eval_query
 from shuffleguard.runtime import Envelope, provision
 
+from message_level import deliver
+
 INF = math.inf
 
 
@@ -42,16 +44,13 @@ def run_round(plan, xs, seed=0, floods=()):
     added with the target node's real token (an in-group attacker)."""
     rng = np.random.default_rng(seed)
     tokens = provision(plan, rng)
-    inboxes = tokens.make_inboxes()
     envs, _ = randomize_all(plan, xs, tokens, rng, np.ones(xs.size, bool))
     for (r, g), payload in floods:
         tid = int(tokens.levels[r - 1][g - 1])
         envs.append(Envelope(tid, np.asarray(payload, dtype=np.int64)))
-    by_id = {ib.token.id: ib for ib in inboxes.values()}
-    for e in envs:
-        by_id[e.token].submit(e)
-    shuffled = {node: ib.shuffle(rng) for node, ib in inboxes.items()}
-    return analyze(plan, shuffled)
+    out, report, rejected = deliver(plan, tokens, envs)
+    assert rejected == 0
+    return out, report
 
 
 class TestPlans:
@@ -403,14 +402,10 @@ class TestAnalyze:
         plan = plan_hsdp(count_base(), 8, INF, 0.01, 0.1)
         rng = np.random.default_rng(2)
         tokens = provision(plan, rng)
-        inboxes = tokens.make_inboxes()
         envs, _ = randomize_all(plan, xs, tokens, rng, np.ones(8, bool))
         envs.append(Envelope(int(tokens.levels[0][2]), np.ones(50, dtype=np.int64)))
-        by_id = {ib.token.id: ib for ib in inboxes.values()}
-        for e in envs:
-            by_id[e.token].submit(e)
-        shuffled = {node: ib.shuffle(rng) for node, ib in inboxes.items()}
-        out, report = analyze(plan, shuffled)
+        out, report, rejected = deliver(plan, tokens, envs)
+        assert rejected == 0
         # The flagged bottom group recovers to zero, so user 3's bit is lost.
         assert out == 5
         assert (1, 3) in report.flagged

@@ -19,7 +19,7 @@ import pytest
 
 from shuffleguard import adversary, harness
 from shuffleguard.adversary import corrupt_users, malicious_envelopes
-from shuffleguard.defense import analyze, randomize_all
+from shuffleguard.defense import randomize_all
 from shuffleguard.harness import (
     ExperimentConfig,
     build_plan,
@@ -29,6 +29,8 @@ from shuffleguard.harness import (
     run_trial,
 )
 from shuffleguard.runtime import Envelope, provision
+
+from message_level import deliver
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -83,16 +85,14 @@ def test_matches_golden(name, golden):
 
 def message_level_trial(config, t, plan, dataset):
     """``run_trial`` through the message-level API, message by message:
-    provision, make_inboxes, randomize_all and malicious_envelopes,
-    submit, shuffle, analyze. Returns (estimate, report, honest messages,
-    rejected messages)."""
+    provision, randomize_all and malicious_envelopes, then ``deliver``.
+    Returns (estimate, report, honest messages, rejected messages)."""
     xs = dataset.values
     ss = np.random.SeedSequence((config.seed, t))
     rng_prov, rng_honest, rng_adv = (
         np.random.default_rng(s) for s in ss.spawn(3)
     )
     tokens = provision(plan, rng_prov)
-    inboxes = tokens.make_inboxes()
     strategy = make_strategy(config, plan)
     corrupted = corrupt_users(config.n, config.k, rng_adv)
     honest = np.ones(config.n, dtype=bool)
@@ -106,15 +106,7 @@ def message_level_trial(config, t, plan, dataset):
             envelopes += malicious_envelopes(
                 strategy, i, plan, tokens, rng_adv, x=int(xs[i - 1])
             )
-    by_id = {inbox.token.id: inbox for inbox in inboxes.values()}
-    rejected = 0
-    for e in envelopes:
-        if e.token in by_id:
-            by_id[e.token].submit(e)
-        else:
-            rejected += e.payloads.size
-    shuffled = {node: inbox.shuffle() for node, inbox in inboxes.items()}
-    estimate, report = analyze(plan, shuffled)
+    estimate, report, rejected = deliver(plan, tokens, envelopes)
     return estimate, report, honest_msgs, rejected
 
 

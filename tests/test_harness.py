@@ -127,6 +127,14 @@ class TestLoadCsv:
         f.write_text("1\n2,1\n")
         np.testing.assert_array_equal(load_csv(f, 1, cap=1).values, [1])
 
+    @pytest.mark.parametrize("column", [-1, True, False])
+    def test_bool_or_negative_index_refused(self, tmp_path, column):
+        # Python would read -1 as the last column, and True as column 1.
+        f = tmp_path / "two.csv"
+        f.write_text("a,b\n1,0\n")
+        with pytest.raises(ParameterError, match="nonnegative integer"):
+            load_csv(f, column, cap=1)
+
 
 class TestTrimmedMean:
     def test_matches_sort_and_slice(self):
@@ -586,6 +594,37 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"error: {data} row 3: value {value!r} is not finite\n"
+
+    @pytest.mark.parametrize("col", [-1, True])
+    def test_bad_column_index_is_one_line(self, col, tmp_path, capsys):
+        from shuffleguard.cli import main
+
+        data = tmp_path / "t.csv"
+        data.write_text("a,b\n1,0\n")
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"data": str(data), "col": col}))
+        rc = main(["run", "--n", "4", "--delta", "0.01", "--trials", "1",
+                   "--config", str(conf)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: column index must be a nonnegative integer, got {col!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--eps", "1e-20"], ["--query", "sum", "--u", "255", "--eps", "1e-14"]],
+        ids=["count", "sum"],
+    )
+    def test_tiny_epsilon_is_one_line(self, argv, capsys):
+        # exp(-eps/sensitivity) rounds to 1, so no threshold exists.
+        from shuffleguard.cli import main
+
+        rc = main(["run", "--n", "64", "--trials", "1", *argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: epsilon ") and "rounds to 1" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "query,u,needle",

@@ -185,3 +185,7 @@ def test_noise_base_validates():
     assert noise_base(1.0, 1) == pytest.approx(math.exp(-1))
     with pytest.raises(ParameterError):
         noise_base(0.0, 1)
+    # exp(-eps/sensitivity) rounds to 1: no threshold or noise scale exists.
+    for eps, sensitivity in ((1e-20, 1), (1e-14, 255)):
+        with pytest.raises(ParameterError, match=f"epsilon {eps:g} .* {sensitivity}"):
+            noise_base(eps, sensitivity)

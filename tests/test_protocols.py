@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from shuffleguard.errors import ParameterError, ProtocolError
-from shuffleguard.noise import dlap_threshold, noise_base
+from shuffleguard.noise import dlap_threshold
 from shuffleguard.protocols import (
     CountProtocol,
     SumProtocol,
     PrivacyBudget,
     make_base,
 )
-from shuffleguard.queries import Query, QueryKind, eval_query
+from shuffleguard.queries import Query, QueryKind, bins_of, eval_query
 
 INF = math.inf
 
@@ -399,16 +399,15 @@ class TestDescriptors:
         proto = hist_proto(u=9)
         assert proto.error_bound(1.0, 0.1) == dlap_threshold(1.0, 1, 0.01)
 
-    def test_count_expected_msgs(self):
-        p = math.exp(-1)
-        assert count_proto().expected_msgs(1.0, 1) == pytest.approx(
-            1 + 2 * p / (1 - p)
-        )
-        assert count_proto().expected_msgs(1.0, 1) == pytest.approx(2.164, abs=1e-3)
-
     def test_sum_msgs_and_bits(self):
+        # Every honest user sends exactly its 3 shares.
         proto = sum_proto()
-        assert proto.expected_msgs(1.0, 4) == 3
+        xs = np.arange(12, dtype=np.int64) % 11
+        honest = np.arange(12) % 3 > 0
+        _, total = proto.tally_level(
+            xs, 1.0, 4, np.random.default_rng(5), honest
+        )
+        assert total == 3 * honest.sum()
         assert proto.bits_per_msg() == math.ceil(math.log2(proto.modulus))
 
     def test_count_bits(self):
@@ -418,14 +417,20 @@ class TestDescriptors:
         assert hist_proto(u=3).bits_per_msg() == 3  # ceil(log2 4) + sign
 
     def test_empirical_msgs_match_formula(self):
-        proto = count_proto()
-        rng = np.random.default_rng(5)
-        xs = np.ones(10_000, dtype=np.int64)
-        _, total = proto.randomize_level(
-            xs, 1.0, 1, rng, np.ones(xs.size, bool)
-        )
-        expect = proto.expected_msgs(1.0, 1)
-        assert total / xs.size == pytest.approx(expect, rel=0.05)
+        # A user holding the largest input sends its data tokens plus, per
+        # bin and sign, NB(1/m, p) noise tokens of mean p / (m (1 - p)).
+        eps, m, n = 1.0, 4, 10_000
+        honest = np.ones(n, bool)
+        for proto, data_tokens in (
+            (count_proto(), 1), (hist_proto(u=3), 1), (range_proto(u=3), 3),
+        ):
+            p = math.exp(-eps / data_tokens)
+            xs = np.full(n, proto.query.max_input, dtype=np.int64)
+            _, total = proto.tally_level(
+                xs, eps, m, np.random.default_rng(5), honest
+            )
+            expect = data_tokens + 2 * proto.bins * p / (m * (1 - p))
+            assert total / n == pytest.approx(expect, rel=0.05)
 
     def test_unbiased_estimates(self):
         rng = np.random.default_rng(6)
@@ -458,29 +463,36 @@ def test_error_bound_non_increasing_in_beta(eps, b1, b2, u):
 
 
 @settings(max_examples=100, deadline=None)
-@given(eps=_EPS, beta=_BETA, u=_U, m=st.integers(1, 1024))
-def test_token_descriptors_match_closed_forms(eps, beta, u, m):
+@given(eps=_EPS, beta=_BETA, u=_U)
+def test_token_descriptors_match_closed_forms(eps, beta, u):
     # Count, hist and range share one set of descriptors; each must equal
     # the protocol's own closed form exactly.
     assert count_proto().error_bound(eps, beta) == dlap_threshold(eps, 1, beta)
-    p = noise_base(eps, 1)
-    assert count_proto().expected_msgs(eps, m) == 1.0 + 2.0 * p / (m * (1.0 - p))
 
     hist = hist_proto(u)
     assert hist.error_bound(eps, beta) == dlap_threshold(eps, 1, beta / (u + 1))
-    assert hist.expected_msgs(eps, m) == 1.0 + 2.0 * (u + 1) * p / (
-        m * (1.0 - p)
-    )
 
     tree = range_proto(u)
     levels = len(tree.query.tree_levels)
     assert tree.error_bound(eps, beta) == levels * dlap_threshold(
         eps / levels, 1, beta / tree.bins
     )
-    p = noise_base(eps / levels, 1)
-    assert tree.expected_msgs(eps, m) == levels + 2.0 * tree.bins * p / (
-        m * (1.0 - p)
-    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    kind=st.sampled_from(
+        [QueryKind.COUNT, QueryKind.HISTOGRAM, QueryKind.RANGE_TREE]
+    ),
+    u=_U,
+)
+def test_per_user_is_most_units_of_any_input(kind, u):
+    # The token budget is split over the most data tokens a user sends.
+    query = Query(kind, u)
+    values = np.arange(query.max_input + 1)
+    owner, _ = bins_of(query, values)
+    units = np.bincount(owner, minlength=values.size)
+    assert make_base(query, 1).per_user == units.max()
 
 
 class TestFactory:
