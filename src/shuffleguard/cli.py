@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from .errors import ParameterError, ShuffleguardError
 from .harness import (
@@ -98,11 +100,15 @@ def _coerce_lam(v):
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
+        try:
+            with open(args.config) as fh:
                 file_values = json.load(fh)
-            except ValueError as exc:
-                raise ParameterError(f"--config {args.config}: {exc}") from None
+        except OSError as exc:
+            raise ParameterError(
+                f"--config {args.config}: {exc.strerror}"
+            ) from None
+        except ValueError as exc:
+            raise ParameterError(f"--config {args.config}: {exc}") from None
         if not isinstance(file_values, dict):
             raise ParameterError(f"--config {args.config} must hold an object")
         known = {f.name for f in fields(ExperimentConfig)}
@@ -119,6 +125,16 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` path that cannot be written, before any trial."""
+    out = Path(path)
+    if out.is_dir():
+        raise ParameterError(f"--out {path}: Is a directory")
+    # An existing file must be writable; a new one, its directory.
+    if not os.access(out if out.exists() else out.parent, os.W_OK):
+        raise ParameterError(f"--out {path}: cannot be written")
+
+
 def _print_summaries(summaries) -> None:
     rows = [summary_row(s) for s in summaries]
     head = ["protocol", "query", "n", "lam", "k", "attack", *METRIC_COLS]
@@ -131,6 +147,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
+        if config.out:
+            _check_out(config.out)
         if args.command == "run":
             summaries = [run_experiment(config)]
         else:
@@ -141,7 +159,7 @@ def main(argv=None) -> int:
             summaries = sweep(config, args.axis, axis_values)
         if config.out:
             emit(summaries, config.format, config.out)
-    except (ShuffleguardError, FileNotFoundError, KeyError) as exc:
+    except ShuffleguardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_summaries(summaries)

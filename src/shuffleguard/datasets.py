@@ -52,12 +52,14 @@ def load_csv(path, column, cap: int) -> Dataset:
     """One numeric column of a CSV file, clamped to [0, cap].
 
     ``column`` selects by header name or by 0-based index; a bool or a
-    negative index is a ParameterError. A name that is not in the
-    header, or a column of a non-empty file that gives no number, is a
-    KeyError; an empty file loads no values, with a warning.
-    Non-numeric rows (including a header row when selecting by index) are
-    skipped and tallied in a warning; a non-finite number (nan, inf, or
-    one too large for a float) is an error naming its row.
+    negative index is a ParameterError. So is a file that cannot be
+    opened or read as CSV text, a name that is not in the header, or a
+    column of a non-empty file that gives no number, each named by its
+    flag (``--data``, ``--col``) and the path; an empty file loads no
+    values, with a warning. Non-numeric rows (including a header row
+    when selecting by index) are skipped and tallied in a warning; a
+    non-finite number (nan, inf, or one too large for a float) is an
+    error naming its row.
     """
     # Python would read -1 as the last column, and True as column 1.
     if isinstance(column, bool) or (isinstance(column, int) and column < 0):
@@ -65,10 +67,13 @@ def load_csv(path, column, cap: int) -> Dataset:
             f"column index must be a nonnegative integer, got {column!r}"
         )
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise ParameterError(f"--data {path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:  # not a text CSV file
+        raise ParameterError(f"--data {path}: {exc}") from None
 
     idx = None
     first_row = 1  # the file row of rows[0], counting from 1
@@ -82,7 +87,7 @@ def load_csv(path, column, cap: int) -> Dataset:
             rows = rows[1:]
             first_row = 2
     if idx is None:
-        raise KeyError(f"column {column!r} not found in {path}")
+        raise ParameterError(f"--col {column!r} not found in --data {path}")
 
     values = []
     skipped = 0
@@ -99,8 +104,9 @@ def load_csv(path, column, cap: int) -> Dataset:
         v = int(round(v))
         values.append(min(max(v, 0), cap))
     if nonempty and not values:
-        raise KeyError(
-            f"column {column!r} not found in {path}: no row has a number there"
+        raise ParameterError(
+            f"--col {column!r} not found in --data {path}: no row has a "
+            f"number there"
         )
     if skipped or not values:
         log.warning(

@@ -132,6 +132,18 @@ def _plan(
     ``share(delta, i)``; the top level takes beta/2, and each lower node
     beta / (2 * the number of lower nodes). Level i's threshold theta is
     ``base.error_bound(epsilon_i, beta_i)``.
+
+    Neighbours are replace-one: two datasets of n users that differ in
+    one user's value. Each level's noise is calibrated to epsilon_i for
+    the query's sensitivity under it, and what a level spends is:
+
+    - count: epsilon_i (one bin moves by 1);
+    - sum: epsilon_i, at sensitivity U (the sum moves by up to U);
+    - hist: 2 epsilon_i, since every value raises a bin (0 included), so
+      a replacement moves two bins by 1 each;
+    - range: up to 2 (L - 1) epsilon_i / L over its L tree levels, whose
+      noise is calibrated to epsilon_i / L each: two bins move at every
+      tree level but the root. That is 1.6 epsilon_i at U = 15.
     """
     top = len(sizes) - 1
     lower = sum(n // m for m in sizes[:-1])

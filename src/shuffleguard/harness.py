@@ -121,6 +121,30 @@ class ExperimentConfig:
                 raise ParameterError(
                     f"{flag} must be a number in (0, 1), got {value!r}"
                 )
+        # An input the run would ignore is refused, naming the field that
+        # makes it meaningless. k = 0 under an attack stays: it is the
+        # attack-free point of a sweep over k.
+        if self.protocol != "ohsdp":
+            for flag, given in (("--lambda", self.lam != "auto"),
+                                ("--khat", self.k_hat is not None)):
+                if given:
+                    raise ParameterError(
+                        f"{flag} applies only to --protocol ohsdp, got "
+                        f"--protocol {self.protocol}"
+                    )
+        if self.attack_msgs is not None and self.attack not in (
+            "flood", "impersonate"
+        ):
+            raise ParameterError(
+                f"--attack-msgs applies only to --attack flood or "
+                f"impersonate, got --attack {self.attack}"
+            )
+        if self.data is None:
+            for flag, value in (("--cap", self.cap), ("--col", self.col)):
+                if value is not None:
+                    raise ParameterError(
+                        f"{flag} applies only with --data, which is not given"
+                    )
         # plan_ohsdp refuses this too, but its message names no flag.
         lam, k_hat = resolve_lambda(self), self.k_hat_eff
         if self.protocol == "ohsdp" and k_hat >= 1 and lam <= 2 * k_hat:
@@ -155,8 +179,7 @@ class ExperimentConfig:
             raise ParameterError(
                 f"--u must be at least 1 for sum, got {self.u}"
             )
-        kind = QueryKind(self.query)
-        return Query(kind, 1 if kind is QueryKind.COUNT else self.u)
+        return Query(QueryKind(self.query), self.u)
 
 
 def auto_lambda(n: int, delta: float) -> int:

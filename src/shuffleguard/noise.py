@@ -50,10 +50,6 @@ def noise_base(epsilon_eff: float, sensitivity: int) -> float:
     return p
 
 
-def dlap_pmf(z, p: float):
-    return (1.0 - p) / (1.0 + p) * p ** np.abs(z)
-
-
 def dlap_tail(t: int, p: float) -> float:
     """Pr[|Z| >= t] for Z ~ DLap(p), exact: 2 p^t / (1+p) for t >= 1."""
     if t <= 0:

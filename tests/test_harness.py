@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -99,13 +100,30 @@ class TestLoadCsv:
         assert caplog.records
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_csv(tmp_path / "nope.csv", 0, cap=1)
+        path = tmp_path / "nope.csv"
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"--data {path}: No such")):
+            load_csv(path, 0, cap=1)
+
+    def test_directory_refused(self, tmp_path):
+        with pytest.raises(ParameterError, match="Is a directory"):
+            load_csv(tmp_path, 0, cap=1)
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe1\n", b"x" * 200_000 + b"\n"],
+        ids=["not-utf8", "field-over-csv-limit"],
+    )
+    def test_unreadable_file_refused(self, tmp_path, content):
+        f = tmp_path / "d.csv"
+        f.write_bytes(content)
+        with pytest.raises(ParameterError, match=re.escape(f"--data {f}: ")):
+            load_csv(f, 0, cap=1)
 
     def test_missing_column(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("a\n1\n")
-        with pytest.raises(KeyError):
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"--col 'b' not found in --data {f}")):
             load_csv(f, "b", cap=1)
 
     @pytest.mark.parametrize(
@@ -119,7 +137,7 @@ class TestLoadCsv:
         # Not zero values padded to n: the same error as a missing name.
         f = tmp_path / "one.csv"
         f.write_text(text)
-        with pytest.raises(KeyError, match="not found"):
+        with pytest.raises(ParameterError, match="not found"):
             load_csv(f, column, cap=1)
 
     def test_index_reached_by_some_row(self, tmp_path):
@@ -303,6 +321,16 @@ class TestSweepAndEmit:
         assert [s.lam for s in out] == [4, 16]
         assert out[0].msgs_per_user >= out[1].msgs_per_user
 
+    def test_sweep_over_k_keeps_the_attack_free_point(self):
+        # k = 0 under an attack runs no attack, but is not refused: it is
+        # the first point of a sweep over k.
+        cfg = ExperimentConfig(
+            query="count", protocol="ohsdp", n=64, k_hat=1, attack="flood",
+            attack_msgs=8, trials=2, seed=0,
+        )
+        out = sweep(cfg, "k", [0, 1])
+        assert [s.config.k for s in out] == [0, 1]
+
     def test_unknown_axis(self):
         with pytest.raises(ParameterError):
             sweep(self.cfg(), "beta", [0.1])
@@ -477,6 +505,26 @@ class TestCli:
              "ohsdp needs --lambda > 2 * --khat for an honest majority in "
              "every bottom group, got lambda=2 (auto caps it at --n=2) and "
              "khat=1 (default max(1, --k))"),
+            (["run", "--protocol", "hsdp", "--lambda", "8"],
+             "--lambda applies only to --protocol ohsdp, got --protocol hsdp"),
+            (["sweep", "--axis", "lambda", "--values", "4,16", "--protocol",
+              "bsdp"],
+             "--lambda applies only to --protocol ohsdp, got --protocol bsdp"),
+            (["run", "--protocol", "hsdp", "--khat", "3"],
+             "--khat applies only to --protocol ohsdp, got --protocol hsdp"),
+            (["run", "--attack-msgs", "9"], "--attack-msgs applies only to "
+             "--attack flood or impersonate, got --attack none"),
+            (["run", "--attack", "drop", "--k", "1", "--attack-msgs", "9"],
+             "--attack-msgs applies only to --attack flood or impersonate, "
+             "got --attack drop"),
+            (["run", "--attack", "alter", "--k", "1", "--attack-msgs", "9"],
+             "got --attack alter"),
+            (["run", "--cap", "3"],
+             "--cap applies only with --data, which is not given"),
+            (["run", "--col", "v"],
+             "--col applies only with --data, which is not given"),
+            (["run", "--config", {"col": 0}],
+             "--col applies only with --data, which is not given"),
         ],
         ids=[
             "lambda-foo", "lambda-0", "attack-msgs-negative", "n-0",
@@ -485,7 +533,10 @@ class TestCli:
             "seed-negative", "khat-negative", "delta-0", "config-lam-fraction",
             "config-n-bool", "config-query", "config-protocol",
             "config-attack", "config-dist", "config-format", "n-1-delta",
-            "config-n-1-delta", "ohsdp-n-2-delta",
+            "config-n-1-delta", "ohsdp-n-2-delta", "hsdp-lambda",
+            "sweep-lambda-bsdp", "hsdp-khat", "attack-msgs-none",
+            "attack-msgs-drop", "attack-msgs-alter", "cap-without-data",
+            "col-without-data", "config-col-without-data",
         ],
     )
     def test_bad_ingress_is_one_line(
@@ -581,6 +632,41 @@ class TestCli:
         assert "40 values, more than n=16" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "case", ["out-dir", "out-missing-dir", "config-dir", "data-dir", "col"],
+    )
+    def test_file_failure_is_one_line(self, case, tmp_path, capsys, monkeypatch):
+        # A path that cannot be read or written, or a column the file
+        # lacks, is one line naming the flag and the path; no trial runs.
+        from shuffleguard import cli
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran on a bad file")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        data = tmp_path / "t.csv"
+        data.write_text("a\n1\n")
+        missing = tmp_path / "no" / "o.csv"
+        argv, err = {
+            "out-dir": (["--out", tmp_path], f"--out {tmp_path}: Is a directory"),
+            "out-missing-dir": (
+                ["--out", missing], f"--out {missing}: cannot be written"
+            ),
+            "config-dir": (
+                ["--config", tmp_path], f"--config {tmp_path}: Is a directory"
+            ),
+            "data-dir": (
+                ["--data", tmp_path], f"--data {tmp_path}: Is a directory"
+            ),
+            "col": (
+                ["--data", data, "--col", "zz"],
+                f"--col 'zz' not found in --data {data}",
+            ),
+        }[case]
+        rc = cli.main(["run", "--n", "16", "--trials", "1", *map(str, argv)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
     def test_non_finite_data_is_one_line(self, value, tmp_path, capsys):
         from shuffleguard.cli import main
@@ -628,7 +714,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "query,u,needle",
-        [("hist", "-1", "must be nonnegative, got -1"),
+        [("count", "-1", "must be nonnegative, got -1"),
+         ("hist", "-1", "must be nonnegative, got -1"),
          ("range", "-3", "must be nonnegative, got -3"),
          ("sum", "0", "--u must be at least 1 for sum, got 0")],
     )

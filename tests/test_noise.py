@@ -11,7 +11,6 @@ from scipy import stats
 from shuffleguard.errors import ParameterError
 from shuffleguard.noise import (
     MIN_RUN,
-    dlap_pmf,
     dlap_tail,
     dlap_threshold,
     nb_sample,
@@ -21,12 +20,13 @@ from shuffleguard.noise import (
 
 def threshold_oracle(epsilon_eff, sensitivity, beta):
     """Brute-force smallest t>=1 whose exact tail is within beta, where the
-    tail is cross-checked by summing the pmf."""
+    tail is cross-checked by summing scipy's DLap pmf (``dlaplace`` with
+    a = eps/sensitivity), a reference independent of the package."""
     p = math.exp(-epsilon_eff / sensitivity)
     t = 1
     while True:
         # tail = 1 - sum of pmf over |z| < t
-        body = sum(dlap_pmf(z, p) for z in range(-t + 1, t))
+        body = stats.dlaplace.pmf(np.arange(-t + 1, t), -math.log(p)).sum()
         if 1.0 - body <= beta + 1e-12:
             return t
         t += 1
@@ -65,7 +65,7 @@ class TestThreshold:
     def test_tail_closed_form(self):
         p = 0.7
         for t in range(1, 10):
-            body = sum(dlap_pmf(z, p) for z in range(-t + 1, t))
+            body = stats.dlaplace.pmf(np.arange(-t + 1, t), -math.log(p)).sum()
             assert dlap_tail(t, p) == pytest.approx(1.0 - body, abs=1e-12)
 
 
