@@ -23,8 +23,8 @@ Variants:
   - ohsdp: hsdp with the bottom |group| raised to lambda, trading
            worst-case dropped-group error for far fewer shufflers.
 
-A variant gives only its group sizes and its budget share; ``_plan``
-builds every plan from them by the rules stated in its docstring.
+``make_plan`` builds every plan: a variant gives only its group sizes
+and its budget share, and the rules stated in its docstring do the rest.
 """
 
 from __future__ import annotations
@@ -121,11 +121,34 @@ class TreePlan:
         return max(1, math.ceil(math.log2(self.num_shufflers)))
 
 
-def _plan(
-    variant: Variant, base: BaseProtocol, n: int, total: PrivacyBudget,
-    sizes: list[int], share=None, lam: int = 1, k_hat: int = 1,
+def make_plan(
+    variant: Variant, base: BaseProtocol, n, epsilon, delta, beta,
+    lam: int = 1, k_hat: int = 1,
 ) -> TreePlan:
-    """The plan whose level i (bottom first) has groups of ``sizes[i]``.
+    """The defense plan of ``variant`` over n users.
+
+    A variant gives its group sizes, level i (bottom first) having groups
+    of ``sizes[i]``, and its budget share:
+
+    - base: one group of n, no detection (the baseline).
+    - susdp: every user is their own group; flagged users are zeroed.
+    - bsdp: three levels of sizes 1, sqrt(n), n with an even three-way
+      split, each level above the bottom discounted by (m - 1)/m for
+      its group size m.
+    - hsdp: a binary tree over single users, log n lower levels plus the
+      root. Half the budget goes to the root; the rest splits evenly
+      across the lower levels, each level above the bottom discounted by
+      (m - 1)/m to absorb one silent noise-dropper.
+    - ohsdp: the hsdp tree with bottom groups widened to lam users. With
+      a public corruption bound k_hat > 1, every level's budget is
+      discounted by (c - k_hat)/c for its group size c, so that privacy
+      survives k_hat silent noise-droppers per group. Requires
+      lam > 2*k_hat: each bottom group must keep an honest majority.
+      With lam = n the plan is one group, the raw base protocol at the
+      full budget.
+
+    Only ohsdp reads ``lam`` and ``k_hat``; base records lam = n and
+    k_hat = 0, and susdp, bsdp and hsdp record 1 and 1.
 
     A one-level plan spends the whole budget, and its groups split beta
     evenly. Otherwise level i spends ``share(epsilon, i)`` and
@@ -145,6 +168,65 @@ def _plan(
       noise is calibrated to epsilon_i / L each: two bins move at every
       tree level but the root. That is 1.6 epsilon_i at U = 15.
     """
+    share = None
+    if variant is Variant.BASE:
+        sizes, lam, k_hat = [n], n, 0
+    elif variant is Variant.SUSDP:
+        if n < 1:
+            raise ParameterError("need at least one user")
+        sizes, lam, k_hat = [1], 1, 1
+    elif variant is Variant.BSDP:
+        if n < 4:
+            # Below sqrt(n) = 2 the middle level is the bottom one again,
+            # and its budget share (s - 1)/s is 0.
+            raise ParameterError(
+                f"bsdp needs n >= 4 (sqrt(n) >= 2), got n={n}"
+            )
+        s = math.isqrt(n)
+        if s * s != n:
+            raise ParameterError(f"n={n} must be a perfect square")
+        sizes, lam, k_hat = [1, s, n], 1, 1
+
+        def share(x, i):
+            m = sizes[i]
+            return x / 3 if i == 0 else x / 3 * (m - 1) / m
+    elif variant is Variant.HSDP:
+        if n < 1 or n & (n - 1):
+            raise ParameterError(f"n={n} must be a power of two")
+        logn = n.bit_length() - 1
+        sizes, lam, k_hat = [1 << r for r in range(logn)] + [n], 1, 1
+
+        def share(x, i):
+            m = sizes[i]
+            if i == logn:
+                return x / 2 * (m - 1) / m
+            f = 1.0 if i == 0 else (m - 1) / m
+            return x / (2 * logn) * f
+    else:  # ohsdp
+        if n < 1 or lam < 1 or n % lam:
+            raise ParameterError(f"lam={lam} must divide n={n}")
+        width = n // lam
+        if width & (width - 1):
+            raise ParameterError(f"n/lam={width} must be a power of two")
+        if k_hat >= 1 and lam <= 2 * k_hat:
+            raise ParameterError(
+                f"bottom group size {lam} needs an honest majority over "
+                f"k_hat={k_hat} attackers (lam > 2*k_hat)"
+            )
+        big_l = width.bit_length()  # log2(n/lam) + 1
+        sizes = [lam << r for r in range(big_l - 1)] + [n]
+
+        def share(x, i):
+            c = sizes[i]
+            if k_hat >= 2:
+                f = (c - k_hat) / c
+            elif i == big_l - 1:
+                f = (n - 1) / n
+            else:
+                f = 1.0 if i == 0 else 1 - 2.0 ** -i
+            return x / (2 if i == big_l - 1 else 2 * big_l) * f
+
+    total = PrivacyBudget(epsilon, delta, beta)
     top = len(sizes) - 1
     lower = sum(n // m for m in sizes[:-1])
     levels = []
@@ -163,116 +245,6 @@ def _plan(
             theta=base.error_bound(budget.epsilon, budget.beta),
         ))
     return TreePlan(variant, base, n, lam, k_hat, total, tuple(levels))
-
-
-def plan_base(base: BaseProtocol, n, epsilon, delta, beta) -> TreePlan:
-    """The undefended protocol: one shuffler, full budget, no detection."""
-    total = PrivacyBudget(epsilon, delta, beta)
-    return _plan(Variant.BASE, base, n, total, [n], lam=n, k_hat=0)
-
-
-def plan_susdp(base: BaseProtocol, n, epsilon, delta, beta) -> TreePlan:
-    """Single-user groups at full budget; thresholds take a beta/n share."""
-    if n < 1:
-        raise ParameterError("need at least one user")
-    total = PrivacyBudget(epsilon, delta, beta)
-    return _plan(Variant.SUSDP, base, n, total, [1])
-
-
-def plan_bsdp(base: BaseProtocol, n, epsilon, delta, beta) -> TreePlan:
-    """Three levels of sizes 1, sqrt(n), n with an even three-way eps split."""
-    if n < 4:
-        # Below sqrt(n) = 2 the middle level is the bottom one again, and
-        # its budget share (s - 1)/s is 0.
-        raise ParameterError(f"bsdp needs n >= 4 (sqrt(n) >= 2), got n={n}")
-    s = math.isqrt(n)
-    if s * s != n:
-        raise ParameterError(f"n={n} must be a perfect square")
-    sizes = [1, s, n]
-
-    def share(x, i):
-        m = sizes[i]
-        return x / 3 if i == 0 else x / 3 * (m - 1) / m
-
-    total = PrivacyBudget(epsilon, delta, beta)
-    return _plan(Variant.BSDP, base, n, total, sizes, share)
-
-
-def plan_hsdp(base: BaseProtocol, n, epsilon, delta, beta) -> TreePlan:
-    """A binary tree over single users: log n lower levels plus the root.
-
-    Half the budget goes to the root; the rest splits evenly across the
-    lower levels, with each level above the bottom discounted by
-    (m-1)/m (m = its group size) to absorb one silent noise-dropper.
-    """
-    if n < 1 or n & (n - 1):
-        raise ParameterError(f"n={n} must be a power of two")
-    logn = n.bit_length() - 1
-    sizes = [1 << r for r in range(logn)] + [n]
-
-    def share(x, i):
-        m = sizes[i]
-        if i == logn:
-            return x / 2 * (m - 1) / m
-        f = 1.0 if i == 0 else (m - 1) / m
-        return x / (2 * logn) * f
-
-    total = PrivacyBudget(epsilon, delta, beta)
-    return _plan(Variant.HSDP, base, n, total, sizes, share)
-
-
-def plan_ohsdp(
-    base: BaseProtocol, n, epsilon, delta, beta, lam: int, k_hat: int
-) -> TreePlan:
-    """The hsdp tree with bottom groups widened to lam users.
-
-    With a public corruption bound k_hat > 1, every level's budget is
-    discounted by (c - k_hat)/c for its group size c, so that privacy
-    survives k_hat silent noise-droppers per group. Requires lam > 2*k_hat:
-    each bottom group must keep an honest majority. With lam = n the plan
-    is one group, the raw base protocol at the full budget.
-    """
-    if n < 1 or lam < 1 or n % lam:
-        raise ParameterError(f"lam={lam} must divide n={n}")
-    width = n // lam
-    if width & (width - 1):
-        raise ParameterError(f"n/lam={width} must be a power of two")
-    if k_hat >= 1 and lam <= 2 * k_hat:
-        raise ParameterError(
-            f"bottom group size {lam} needs an honest majority over "
-            f"k_hat={k_hat} attackers (lam > 2*k_hat)"
-        )
-    big_l = width.bit_length()  # log2(n/lam) + 1
-    sizes = [lam << r for r in range(big_l - 1)] + [n]
-
-    def share(x, i):
-        c = sizes[i]
-        if k_hat >= 2:
-            f = (c - k_hat) / c
-        elif i == big_l - 1:
-            f = (n - 1) / n
-        else:
-            f = 1.0 if i == 0 else 1 - 2.0 ** -i
-        return x / (2 if i == big_l - 1 else 2 * big_l) * f
-
-    total = PrivacyBudget(epsilon, delta, beta)
-    return _plan(Variant.OHSDP, base, n, total, sizes, share, lam, k_hat)
-
-
-_PLANS = {
-    Variant.BASE: plan_base,
-    Variant.SUSDP: plan_susdp,
-    Variant.BSDP: plan_bsdp,
-    Variant.HSDP: plan_hsdp,
-}
-
-
-def make_plan(
-    variant: Variant, base, n, epsilon, delta, beta, lam, k_hat
-) -> TreePlan:
-    if variant is Variant.OHSDP:
-        return plan_ohsdp(base, n, epsilon, delta, beta, lam, k_hat)
-    return _PLANS[variant](base, n, epsilon, delta, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -103,9 +103,19 @@ class ExperimentConfig:
                     f"{flag} must be an integer of at least {least}, "
                     f"got {value!r}"
                 )
-        # U's range is left to make_query, whose errors name the query.
         if not _is_int(self.u):
             raise ParameterError(f"--u must be an integer, got {self.u!r}")
+        if self.query == "sum" and self.u < 1:
+            # U is the sum protocol's sensitivity: U = 0 sets no noise scale.
+            raise ParameterError(
+                f"--u must be at least 1 for sum, got {self.u}"
+            )
+        if self.u < 0:
+            raise ParameterError(f"--u must be nonnegative, got {self.u}")
+        if self.k > self.n:
+            raise ParameterError(
+                f"--k must be at most --n, got --k {self.k} and --n {self.n}"
+            )
         # eps_eff is eps unless eps is None; delta None means n^-2.
         if not (isinstance(self.eps_eff, numbers.Real) and self.eps_eff > 0):
             raise ParameterError(
@@ -132,6 +142,20 @@ class ExperimentConfig:
                         f"{flag} applies only to --protocol ohsdp, got "
                         f"--protocol {self.protocol}"
                     )
+        # With no attack, k >= 1 corrupts nobody. It still sets k_hat's
+        # default under ohsdp without --khat, and a sweep over k is the one
+        # sweep over k_hat, so that case stays.
+        if self.attack == "none" and self.k >= 1 and (
+            self.protocol != "ohsdp" or self.k_hat is not None
+        ):
+            given = (
+                f"--protocol {self.protocol}" if self.protocol != "ohsdp"
+                else f"--khat {self.k_hat}"
+            )
+            raise ParameterError(
+                f"--k applies only with an --attack or as the default of "
+                f"--khat, got --attack none and {given}"
+            )
         if self.attack_msgs is not None and self.attack not in (
             "flood", "impersonate"
         ):
@@ -145,7 +169,7 @@ class ExperimentConfig:
                     raise ParameterError(
                         f"{flag} applies only with --data, which is not given"
                     )
-        # plan_ohsdp refuses this too, but its message names no flag.
+        # make_plan refuses this too, but its message names no flag.
         lam, k_hat = resolve_lambda(self), self.k_hat_eff
         if self.protocol == "ohsdp" and k_hat >= 1 and lam <= 2 * k_hat:
             raise ParameterError(
@@ -174,11 +198,6 @@ class ExperimentConfig:
         return self.attack_msgs if self.attack_msgs is not None else self.n
 
     def make_query(self) -> Query:
-        if self.query == "sum" and self.u < 1:
-            # U is the sum protocol's sensitivity: U = 0 sets no noise scale.
-            raise ParameterError(
-                f"--u must be at least 1 for sum, got {self.u}"
-            )
         return Query(QueryKind(self.query), self.u)
 
 
@@ -396,10 +415,12 @@ SWEEP_FIELDS = {"lambda": "lam", "k": "k", "eps": "eps", "n": "n"}
 
 def sweep(config: ExperimentConfig, axis: str, values) -> list[Summary]:
     """One experiment per axis value, re-planning each time; every value's
-    config is checked before the first experiment runs."""
+    config and plan are checked before the first experiment runs."""
     if axis not in SWEEP_FIELDS:
         raise ParameterError(f"unknown sweep axis {axis!r}")
     configs = [replace(config, **{SWEEP_FIELDS[axis]: v}) for v in values]
+    for c in configs:
+        build_plan(c)
     return [run_experiment(c) for c in configs]
 
 

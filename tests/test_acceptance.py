@@ -13,7 +13,7 @@ import numpy as np
 from scipy import stats
 
 from shuffleguard import adversary as adv
-from shuffleguard.defense import plan_ohsdp, randomize_all
+from shuffleguard.defense import Variant, make_plan, randomize_all
 from shuffleguard.harness import (
     ExperimentConfig,
     build_plan,
@@ -321,7 +321,9 @@ def test_a09_small_instance_oracle_equivalence():
     ):
         base = make_base(Query(kind, 1), n)
         flood = np.tile(base.top, flood_msgs)
-        plan = plan_ohsdp(base, n, INF, 0.01, 0.1, lam=lam, k_hat=0)
+        plan = make_plan(
+            Variant.OHSDP, base, n, INF, 0.01, 0.1, lam=lam, k_hat=0
+        )
         nodes = [None] + plan.nodes()
         rng = np.random.default_rng(9)
         for bits in itertools.product((0, 1), repeat=n):

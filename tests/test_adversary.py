@@ -13,7 +13,7 @@ from shuffleguard.adversary import (
     corrupt_users,
     malicious_envelopes,
 )
-from shuffleguard.defense import plan_hsdp, plan_ohsdp, randomize_all
+from shuffleguard.defense import Variant, make_plan, randomize_all
 from shuffleguard.errors import ParameterError
 from shuffleguard.protocols import (
     CountProtocol,
@@ -31,8 +31,10 @@ INF = math.inf
 def count_plan(n=8, eps=1.0, lam=None):
     base = CountProtocol(Query(QueryKind.COUNT))
     if lam:
-        return plan_ohsdp(base, n, eps, 0.01, 0.1, lam=lam, k_hat=1)
-    return plan_hsdp(base, n, eps, 0.01, 0.1)
+        return make_plan(
+            Variant.OHSDP, base, n, eps, 0.01, 0.1, lam=lam, k_hat=1
+        )
+    return make_plan(Variant.HSDP, base, n, eps, 0.01, 0.1)
 
 
 class TestCorruptUsers:
@@ -73,7 +75,7 @@ class TestFlooding:
     def test_flood_sum_residues(self):
         # Each flood residue is U, the most one sum message can add.
         base = SumProtocol(Query(QueryKind.SUM, 10), 8)
-        plan = plan_hsdp(base, 8, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, base, 8, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
         envs = malicious_envelopes(
             Flood(msgs=3), 2, plan, tokens, np.random.default_rng(1), x=0
@@ -84,7 +86,7 @@ class TestFlooding:
 
     def test_flood_hist_every_bin(self):
         base = make_base(Query(QueryKind.HISTOGRAM, 2), 4)
-        plan = plan_hsdp(base, 4, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, base, 4, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
         envs = malicious_envelopes(
             Flood(msgs=2), 1, plan, tokens, np.random.default_rng(1), x=0
@@ -117,7 +119,7 @@ class TestOtherStrategies:
     )
     def test_drop_noise_sends_noiseless_data(self, kind, u, x, data):
         base = make_base(Query(kind, u), 8)
-        plan = plan_hsdp(base, 8, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, base, 8, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
         envs = malicious_envelopes(
             DropNoise(), 5, plan, tokens, np.random.default_rng(1), x=x

@@ -13,11 +13,6 @@ from shuffleguard.defense import (
     analyze,
     detect,
     make_plan,
-    plan_base,
-    plan_bsdp,
-    plan_hsdp,
-    plan_ohsdp,
-    plan_susdp,
     randomize_all,
     tally_all,
 )
@@ -55,24 +50,24 @@ def run_round(plan, xs, seed=0, floods=()):
 
 class TestPlans:
     def test_susdp_structure(self):
-        plan = plan_susdp(count_base(), 4, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.SUSDP, count_base(), 4, 1.0, 0.01, 0.1)
         assert len(plan.levels) == 1
         lvl = plan.levels[0]
         assert (lvl.group_size, lvl.num_groups) == (1, 4)
         assert lvl.theta == dlap_threshold(1.0, 1, 0.025)
 
     def test_susdp_n1_degenerate(self):
-        plan = plan_susdp(count_base(), 1, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.SUSDP, count_base(), 1, 1.0, 0.01, 0.1)
         assert plan.levels[0].budget.beta == pytest.approx(0.1)
 
     def test_bsdp_structure(self):
-        plan = plan_bsdp(count_base(), 9, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.BSDP, count_base(), 9, 1.0, 0.01, 0.1)
         assert [lp.group_size for lp in plan.levels] == [1, 3, 9]
         assert [lp.num_groups for lp in plan.levels] == [9, 3, 1]
         assert plan.num_shufflers == 13
 
     def test_bsdp_top_epsilon_share(self):
-        plan = plan_bsdp(count_base(), 9, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.BSDP, count_base(), 9, 1.0, 0.01, 0.1)
         assert plan.levels[2].budget.epsilon == pytest.approx((1 / 3) * (8 / 9))
         assert plan.levels[2].budget.beta == pytest.approx(0.05)
         assert plan.levels[0].budget.beta == pytest.approx(0.1 / (2 * (3 + 9)))
@@ -81,15 +76,15 @@ class TestPlans:
         # n = 1 is square, but sqrt(n) = 1 leaves the middle level no budget.
         for n in (8, 1):
             with pytest.raises(ParameterError):
-                plan_bsdp(count_base(), n, 1.0, 0.01, 0.1)
+                make_plan(Variant.BSDP, count_base(), n, 1.0, 0.01, 0.1)
 
     def test_hsdp_structure(self):
-        plan = plan_hsdp(count_base(), 8, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, count_base(), 8, 1.0, 0.01, 0.1)
         assert [lp.group_size for lp in plan.levels] == [1, 2, 4, 8]
         assert plan.num_shufflers == 15
 
     def test_hsdp_level1_budget(self):
-        plan = plan_hsdp(count_base(), 8, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, count_base(), 8, 1.0, 0.01, 0.1)
         b = plan.levels[0].budget
         assert b.epsilon == pytest.approx(1 / 6)
         assert b.delta == pytest.approx(0.01 / 6)
@@ -97,28 +92,36 @@ class TestPlans:
 
     def test_hsdp_rejects_non_pow2(self):
         with pytest.raises(ParameterError):
-            plan_hsdp(count_base(), 12, 1.0, 0.01, 0.1)
+            make_plan(Variant.HSDP, count_base(), 12, 1.0, 0.01, 0.1)
 
     def test_ohsdp_structure(self):
-        plan = plan_ohsdp(count_base(), 16, 1.0, 0.01, 0.1, lam=4, k_hat=1)
+        plan = make_plan(
+            Variant.OHSDP, count_base(), 16, 1.0, 0.01, 0.1, lam=4, k_hat=1
+        )
         assert [lp.group_size for lp in plan.levels] == [4, 8, 16]
         assert plan.num_shufflers == 2 * 4 - 1
 
     def test_ohsdp_scaling_matches_binary_tree_at_lam1(self):
         # With lam=1 the middle-level discount factors reduce to the
         # binary-tree plan's (m-1)/m schedule.
-        o = plan_ohsdp(count_base(), 16, 1.0, 0.01, 0.1, lam=1, k_hat=0)
-        h = plan_hsdp(count_base(), 16, 1.0, 0.01, 0.1)
+        o = make_plan(
+            Variant.OHSDP, count_base(), 16, 1.0, 0.01, 0.1, lam=1, k_hat=0
+        )
+        h = make_plan(Variant.HSDP, count_base(), 16, 1.0, 0.01, 0.1)
         f_o = [lp.budget.epsilon / o.levels[0].budget.epsilon for lp in o.levels[:-1]]
         f_h = [lp.budget.epsilon / h.levels[0].budget.epsilon for lp in h.levels[:-1]]
         assert f_o == pytest.approx(f_h)
 
     def test_ohsdp_honest_majority_required(self):
         with pytest.raises(ParameterError):
-            plan_ohsdp(count_base(), 16, 1.0, 0.01, 0.1, lam=4, k_hat=2)
+            make_plan(
+                Variant.OHSDP, count_base(), 16, 1.0, 0.01, 0.1, lam=4, k_hat=2
+            )
 
     def test_ohsdp_multi_attacker_discount(self):
-        plan = plan_ohsdp(count_base(), 16, 1.0, 0.01, 0.1, lam=8, k_hat=3)
+        plan = make_plan(
+            Variant.OHSDP, count_base(), 16, 1.0, 0.01, 0.1, lam=8, k_hat=3
+        )
         big_l = len(plan.levels)
         assert plan.levels[0].budget.epsilon == pytest.approx(
             1.0 / (2 * big_l) * (8 - 3) / 8
@@ -129,9 +132,11 @@ class TestPlans:
 
     def test_budget_sums_within_total(self):
         for plan in (
-            plan_bsdp(count_base(), 16, 1.0, 0.01, 0.1),
-            plan_hsdp(count_base(), 16, 1.0, 0.01, 0.1),
-            plan_ohsdp(count_base(), 16, 1.0, 0.01, 0.1, lam=4, k_hat=1),
+            make_plan(Variant.BSDP, count_base(), 16, 1.0, 0.01, 0.1),
+            make_plan(Variant.HSDP, count_base(), 16, 1.0, 0.01, 0.1),
+            make_plan(
+                Variant.OHSDP, count_base(), 16, 1.0, 0.01, 0.1, lam=4, k_hat=1
+            ),
         ):
             assert sum(lp.budget.epsilon for lp in plan.levels) <= 1.0 + 1e-9
             assert sum(lp.budget.delta for lp in plan.levels) <= 0.01 + 1e-9
@@ -139,12 +144,12 @@ class TestPlans:
     def test_threshold_monotonicity(self):
         base = count_base()
         thetas_eps = [
-            plan_susdp(base, 4, eps, 0.01, 0.1).levels[0].theta
+            make_plan(Variant.SUSDP, base, 4, eps, 0.01, 0.1).levels[0].theta
             for eps in (0.25, 0.5, 1.0, 2.0)
         ]
         assert thetas_eps == sorted(thetas_eps, reverse=True)
         thetas_beta = [
-            plan_susdp(base, 4, 1.0, 0.01, beta).levels[0].theta
+            make_plan(Variant.SUSDP, base, 4, 1.0, 0.01, beta).levels[0].theta
             for beta in (0.4, 0.2, 0.1, 0.05)
         ]
         assert thetas_beta == sorted(thetas_beta)
@@ -260,13 +265,15 @@ def test_detect_matches_recursive_oracle(args):
 
 class TestGroupOf:
     def test_examples(self):
-        plan = plan_hsdp(count_base(), 64, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, count_base(), 64, 1.0, 0.01, 0.1)
         assert plan.group_of(5, 3) == 2
         assert plan.group_of(1, 7) == 1
         assert plan.group_of(8, 4) == 1
 
     def test_with_wide_bottom(self):
-        plan = plan_ohsdp(count_base(), 8, 1.0, 0.01, 0.1, lam=4, k_hat=1)
+        plan = make_plan(
+            Variant.OHSDP, count_base(), 8, 1.0, 0.01, 0.1, lam=4, k_hat=1
+        )
         assert plan.group_of(5, 1) == 2
         assert plan.group_of(4, 1) == 1
 
@@ -275,7 +282,7 @@ class TestRandomizeUser:
     """A user's envelopes, as randomize_all addresses them."""
 
     def test_two_level_addresses(self):
-        plan = plan_hsdp(count_base(), 2, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, count_base(), 2, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
         envs, _ = randomize_all(
             plan, np.ones(2, dtype=np.int64), tokens, np.random.default_rng(1),
@@ -288,7 +295,7 @@ class TestRandomizeUser:
         ]
 
     def test_noiseless_one_token_per_level(self):
-        plan = plan_hsdp(count_base(), 8, INF, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, count_base(), 8, INF, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
         xs = np.zeros(8, dtype=np.int64)
         xs[2] = 1  # user 3
@@ -343,9 +350,11 @@ class TestAnalyze:
     def test_noiseless_exact_no_flags(self):
         xs = np.asarray([1, 0, 1, 1, 0, 1, 1, 1], dtype=np.int64)
         for plan in (
-            plan_susdp(count_base(), 8, INF, 0.01, 0.1),
-            plan_hsdp(count_base(), 8, INF, 0.01, 0.1),
-            plan_ohsdp(count_base(), 8, INF, 0.01, 0.1, lam=4, k_hat=1),
+            make_plan(Variant.SUSDP, count_base(), 8, INF, 0.01, 0.1),
+            make_plan(Variant.HSDP, count_base(), 8, INF, 0.01, 0.1),
+            make_plan(
+                Variant.OHSDP, count_base(), 8, INF, 0.01, 0.1, lam=4, k_hat=1
+            ),
         ):
             out, report = run_round(plan, xs)
             assert out == 6
@@ -354,7 +363,7 @@ class TestAnalyze:
     def test_flood_flagged_and_recovered(self):
         # Noiseless binary tree; attacker floods node (2,1) with 100 "+1"s.
         xs = np.asarray([1, 0, 1, 1, 0, 1, 1, 1], dtype=np.int64)
-        plan = plan_hsdp(count_base(), 8, INF, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, count_base(), 8, INF, 0.01, 0.1)
         out, report = run_round(
             plan, xs, floods=[((2, 1), np.ones(100, dtype=np.int64))]
         )
@@ -368,7 +377,7 @@ class TestAnalyze:
         # A flood of exactly theta per level passes detection; the damage
         # stays within the telescoped threshold budget.
         base = count_base()
-        plan = plan_hsdp(base, 8, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, base, 8, 1.0, 0.01, 0.1)
         m = plan.levels[0].theta
         floods = [
             ((lp.r, 1), np.ones(m, dtype=np.int64)) for lp in plan.levels
@@ -383,7 +392,7 @@ class TestAnalyze:
         # Out-of-alphabet codes in a node's multiset are dropped before the
         # strict analyzer, as run_trial drops them at its fold.
         xs = np.asarray([1, 0, 1, 1, 0, 1, 1, 1], dtype=np.int64)
-        plan = plan_hsdp(count_base(), 8, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, count_base(), 8, 1.0, 0.01, 0.1)
         flood = [((1, 3), [1, 1, 1]), ((2, 2), [-1])]
         junk = [((1, 3), [2, 0, -2]), ((4, 1), [7])]
         want = run_round(plan, xs, seed=4, floods=flood)
@@ -392,14 +401,14 @@ class TestAnalyze:
         assert got[1].flagged == want[1].flagged
 
     def test_missing_node_is_structural_error(self):
-        plan = plan_hsdp(count_base(), 4, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, count_base(), 4, 1.0, 0.01, 0.1)
         with pytest.raises(StructureError):
             analyze(plan, {})
 
     def test_recovery_identity(self):
         # Noiseless tree; a 50-token flood goes into bottom group (1,3).
         xs = np.asarray([1, 0, 1, 1, 0, 1, 1, 1], dtype=np.int64)
-        plan = plan_hsdp(count_base(), 8, INF, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, count_base(), 8, INF, 0.01, 0.1)
         rng = np.random.default_rng(2)
         tokens = provision(plan, rng)
         envs, _ = randomize_all(plan, xs, tokens, rng, np.ones(8, bool))
@@ -419,8 +428,10 @@ class TestEquivalenceAtFullWidth:
         xs = np.asarray([1, 0, 1, 1], dtype=np.int64)
         outs = {}
         for name, mk in (
-            ("ohsdp", lambda b: plan_ohsdp(b, n, eps, 0.01, 0.1, lam=n, k_hat=0)),
-            ("base", lambda b: plan_base(b, n, eps, 0.01, 0.1)),
+            ("ohsdp", lambda b: make_plan(
+                Variant.OHSDP, b, n, eps, 0.01, 0.1, lam=n, k_hat=0
+            )),
+            ("base", lambda b: make_plan(Variant.BASE, b, n, eps, 0.01, 0.1)),
         ):
             plan = mk(count_base())
             assert len(plan.levels) == 1

@@ -235,10 +235,11 @@ class TestRunTrial:
         self, query, attack, monkeypatch
     ):
         # A corrupted user's own token always names its own group; only a
-        # guessed token can miss, so only impersonation needs tokens.
+        # guessed token can miss, so only impersonation needs tokens. With
+        # no attack, k >= 1 is refused at ingress.
         cfg = ExperimentConfig(
-            query=query, u=3, protocol="hsdp", n=16, k=1, attack=attack,
-            trials=1, seed=4,
+            query=query, u=3, protocol="hsdp", n=16,
+            k=int(attack != "none"), attack=attack, trials=1, seed=4,
         )
         calls = []
         provision = harness.provision
@@ -330,6 +331,26 @@ class TestSweepAndEmit:
         )
         out = sweep(cfg, "k", [0, 1])
         assert [s.config.k for s in out] == [0, 1]
+
+    def test_sweep_over_k_sets_the_default_k_hat_of_ohsdp(self):
+        # With no attack, k still sets ohsdp's default k_hat, so a sweep
+        # over k is kept there.
+        cfg = ExperimentConfig(
+            query="count", protocol="ohsdp", n=64, trials=2, seed=0
+        )
+        out = sweep(cfg, "k", [0, 2])
+        assert [summary_row(s)["k_hat"] for s in out] == [1, 2]
+        assert build_plan(out[1].config).k_hat == 2
+
+    def test_sweep_checks_every_plan_before_the_first_experiment(
+        self, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(harness, "run_experiment", calls.append)
+        cfg = ExperimentConfig(query="count", protocol="hsdp", trials=5)
+        with pytest.raises(ParameterError, match="n=100 must be a power"):
+            sweep(cfg, "n", [1 << 16, 100])
+        assert calls == []
 
     def test_unknown_axis(self):
         with pytest.raises(ParameterError):
@@ -525,6 +546,24 @@ class TestCli:
              "--col applies only with --data, which is not given"),
             (["run", "--config", {"col": 0}],
              "--col applies only with --data, which is not given"),
+            (["run", "--protocol", "susdp", "--k", "65", "--attack", "flood"],
+             "--k must be at most --n, got --k 65 and --n 64"),
+            (["run", "--k", "65", "--attack", "flood"],
+             "--k must be at most --n, got --k 65 and --n 64"),
+            (["run", "--protocol", "base", "--k", "1"],
+             "--k applies only with an --attack or as the default of --khat, "
+             "got --attack none and --protocol base"),
+            (["run", "--protocol", "susdp", "--k", "1"],
+             "got --attack none and --protocol susdp"),
+            (["run", "--protocol", "bsdp", "--k", "2"],
+             "got --attack none and --protocol bsdp"),
+            (["run", "--protocol", "hsdp", "--k", "1"],
+             "got --attack none and --protocol hsdp"),
+            (["run", "--k", "2", "--khat", "3"],
+             "--k applies only with an --attack or as the default of --khat, "
+             "got --attack none and --khat 3"),
+            (["sweep", "--axis", "k", "--values", "0,1", "--protocol", "hsdp"],
+             "got --attack none and --protocol hsdp"),
         ],
         ids=[
             "lambda-foo", "lambda-0", "attack-msgs-negative", "n-0",
@@ -536,7 +575,11 @@ class TestCli:
             "config-n-1-delta", "ohsdp-n-2-delta", "hsdp-lambda",
             "sweep-lambda-bsdp", "hsdp-khat", "attack-msgs-none",
             "attack-msgs-drop", "attack-msgs-alter", "cap-without-data",
-            "col-without-data", "config-col-without-data",
+            "col-without-data", "config-col-without-data", "susdp-k-above-n",
+            "ohsdp-k-above-n", "base-k-without-attack",
+            "susdp-k-without-attack", "bsdp-k-without-attack",
+            "hsdp-k-without-attack", "ohsdp-khat-k-without-attack",
+            "sweep-k-hsdp-without-attack",
         ],
     )
     def test_bad_ingress_is_one_line(
@@ -727,7 +770,8 @@ class TestCli:
         ])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and needle in err
+        # Every message names the flag; the needles then pin the rest.
+        assert err.startswith("error: --u ") and needle in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(

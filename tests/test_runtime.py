@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shuffleguard.defense import plan_bsdp, plan_hsdp, plan_ohsdp, plan_susdp
+from shuffleguard.defense import Variant, make_plan
 from shuffleguard.protocols import CountProtocol
 from shuffleguard.queries import Query, QueryKind
 from shuffleguard.runtime import (
@@ -18,23 +18,25 @@ def count_base():
 
 class TestProvision:
     def test_binary_tree_token_count(self):
-        plan = plan_hsdp(count_base(), 4, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, count_base(), 4, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(0))
         assert len(tokens) == 2 * 4 - 1
 
     def test_wide_bottom_token_count(self):
-        plan = plan_ohsdp(count_base(), 8, 1.0, 0.01, 0.1, lam=4, k_hat=1)
+        plan = make_plan(
+            Variant.OHSDP, count_base(), 8, 1.0, 0.01, 0.1, lam=4, k_hat=1
+        )
         tokens = provision(plan, np.random.default_rng(0))
         assert len(tokens) == 2 * (8 // 4) - 1
 
     def test_distinct_ids_within_run(self):
-        plan = plan_hsdp(count_base(), 16, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, count_base(), 16, 1.0, 0.01, 0.1)
         tokens = provision(plan, np.random.default_rng(1))
         ids = tokens.ids.tolist()
         assert len(set(ids)) == len(ids) == 2 * 16 - 1
 
     def test_different_seeds_share_no_tokens(self):
-        plan = plan_hsdp(count_base(), 16, 1.0, 0.01, 0.1)
+        plan = make_plan(Variant.HSDP, count_base(), 16, 1.0, 0.01, 0.1)
         a = provision(plan, np.random.default_rng(1))
         b = provision(plan, np.random.default_rng(2))
         ids_a = set(a.ids.tolist())
@@ -45,10 +47,12 @@ class TestProvision:
 @settings(max_examples=60, deadline=None)
 @given(
     make=st.sampled_from([
-        lambda: plan_susdp(count_base(), 16, 1.0, 0.01, 0.1),
-        lambda: plan_bsdp(count_base(), 16, 1.0, 0.01, 0.1),
-        lambda: plan_hsdp(count_base(), 32, 1.0, 0.01, 0.1),
-        lambda: plan_ohsdp(count_base(), 64, 1.0, 0.01, 0.1, lam=8, k_hat=1),
+        lambda: make_plan(Variant.SUSDP, count_base(), 16, 1.0, 0.01, 0.1),
+        lambda: make_plan(Variant.BSDP, count_base(), 16, 1.0, 0.01, 0.1),
+        lambda: make_plan(Variant.HSDP, count_base(), 32, 1.0, 0.01, 0.1),
+        lambda: make_plan(
+            Variant.OHSDP, count_base(), 64, 1.0, 0.01, 0.1, lam=8, k_hat=1
+        ),
     ]),
     seed=st.integers(0, 2**32 - 1),
     guess=st.integers(-(1 << 64), 1 << 64),
@@ -135,7 +139,7 @@ class TestShuffle:
 
 def test_unknown_token_reaches_no_inbox():
     # Structural: an envelope with a guessed token lands in no analyzer feed.
-    plan = plan_hsdp(count_base(), 8, 1.0, 0.01, 0.1)
+    plan = make_plan(Variant.HSDP, count_base(), 8, 1.0, 0.01, 0.1)
     tokens = provision(plan, np.random.default_rng(5))
     inboxes = tokens.make_inboxes()
     guess = 424242
