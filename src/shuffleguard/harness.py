@@ -415,12 +415,14 @@ SWEEP_FIELDS = {"lambda": "lam", "k": "k", "eps": "eps", "n": "n"}
 
 def sweep(config: ExperimentConfig, axis: str, values) -> list[Summary]:
     """One experiment per axis value, re-planning each time; every value's
-    config and plan are checked before the first experiment runs."""
+    config, plan and dataset are checked before the first experiment
+    runs."""
     if axis not in SWEEP_FIELDS:
         raise ParameterError(f"unknown sweep axis {axis!r}")
     configs = [replace(config, **{SWEEP_FIELDS[axis]: v}) for v in values]
     for c in configs:
         build_plan(c)
+        experiment_dataset(c)
     return [run_experiment(c) for c in configs]
 
 

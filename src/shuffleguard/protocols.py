@@ -39,13 +39,16 @@ contiguous runs of m users), and then takes one of two forms:
     honest message count. No payload is materialized; envelopes' fold
     rows add to its rows. The token protocols add the level's data-token
     rows, from one ``bins_of`` over all users less the corrupted users'
-    units, to its positive noise in place.
+    units, to its positive noise in place. The sum tally sums each
+    group's totals and never draws the share residues: it advances the
+    generator past them (``_skip_integers``).
   - ``randomize_level``: the same draw as one payload array per group, for
     the message-level path, which the tests and the benchmark's traced
     replay keep as an oracle. The token protocols list each group's codes
     in code order through ``_emit_codes``.
 
-Both make the same RNG calls, so they describe the same trial.
+Both leave the generator in the same state, so they describe the same
+trial.
 
 There is no separate noiseless encoder: ``randomize`` at epsilon = inf
 draws no noise (p = 0) and returns exactly the user's data payload.
@@ -110,6 +113,38 @@ def _by_group(honest: np.ndarray, m: int) -> np.ndarray:
     return honest.reshape(-1, m)
 
 
+def _skip_integers(rng, q: int, count: int) -> None:
+    """Move ``rng`` exactly as ``rng.integers(0, q, size=count)`` does,
+    for a power of two q, without drawing the values.
+
+    For such a q, numpy's bounded draw never rejects: it takes one
+    buffered 32-bit half per value when q <= 2^32, and one 64-bit output
+    per value above that. A PCG64 generator is advanced past those
+    outputs. ``advance`` clears the buffered half, so the buffer is then
+    set as the draw leaves it: a consumed half stays in ``uinteger`` with
+    ``has_uint32`` 0. Any other bit generator draws and discards.
+    """
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64:
+        rng.integers(0, q, size=count)
+        return
+    if count == 0:
+        return
+    before = bg.state
+    has, last = before["has_uint32"], before["uinteger"]
+    if q > 1 << 32:
+        bg.advance(count)
+    else:
+        halves = count - has  # the halves drawn fresh, two per output
+        has = halves % 2
+        if halves:
+            bg.advance((halves - 1) // 2)
+            last = int(bg.random_raw()) >> 32
+    after = bg.state
+    after["has_uint32"], after["uinteger"] = has, last
+    bg.state = after
+
+
 class BaseProtocol:
     """Common interface: level-wide randomization and a pure analyzer fold."""
 
@@ -156,7 +191,8 @@ class BaseProtocol:
     ) -> tuple[np.ndarray, int]:
         """The level of ``randomize_level`` as an additive tally.
 
-        Same arguments and RNG calls as ``randomize_level``. Returns an
+        Same arguments as ``randomize_level``, and it leaves ``rng`` in
+        the same state. Returns an
         int64 array of shape ``(groups, bins)`` (``bins`` = 1 for count and
         sum) whose row g finishes as the ``fold`` row of group g's
         payloads does, plus the total honest message count.
@@ -216,35 +252,41 @@ class SumProtocol(BaseProtocol):
 
     def _draw(self, xs, epsilon, m, rng, honest):
         """A level's draw: each honest user's total (input plus noise
-        share, mod q), the uniform residues that split it into
-        ``shares`` shares (last column not yet set), and the honest users
-        per group. Groups are contiguous."""
+        share, mod q) and the honest users per group. Groups are
+        contiguous."""
         hcount = _by_group(honest, m).sum(axis=1)
         p = noise_base(epsilon, self.query.domain_size)
-        hxs = xs[honest]
+        size = int(hcount.sum())
         # Built in place: each array here holds one int64 per honest user.
-        totals = nb_sample(1.0 / m, p, rng, size=hxs.size)
-        totals -= nb_sample(1.0 / m, p, rng, size=hxs.size)
-        totals += hxs
-        totals %= self.modulus
-        parts = rng.integers(0, self.modulus, size=(totals.size, self.shares))
-        return totals, parts, hcount
+        totals = nb_sample(1.0 / m, p, rng, size=size)
+        totals -= nb_sample(1.0 / m, p, rng, size=size)
+        totals += xs[honest]
+        totals &= self.modulus - 1  # q is a power of two: this is mod q
+        return totals, hcount
 
     def randomize_level(self, xs, epsilon, m, rng, honest):
-        totals, parts, hcount = self._draw(xs, epsilon, m, rng, honest)
-        # The last share makes each user's shares sum to its total mod q.
+        totals, hcount = self._draw(xs, epsilon, m, rng, honest)
+        # Uniform residues split each total into shares; the last share
+        # makes each user's shares sum to its total mod q.
+        parts = rng.integers(0, self.modulus, size=(totals.size, self.shares))
         parts[:, -1] = (totals - parts[:, :-1].sum(axis=1)) % self.modulus
         payloads = parts.reshape(-1)
         groups = np.split(payloads, np.cumsum(hcount * self.shares)[:-1])
         return groups, int(payloads.size)
 
     def tally_level(self, xs, epsilon, m, rng, honest):
-        totals, _, hcount = self._draw(xs, epsilon, m, rng, honest)
+        totals, hcount = self._draw(xs, epsilon, m, rng, honest)
+        msgs = int(totals.size) * self.shares
+        # The residues leave no trace in the sums below, so they are
+        # skipped, not drawn.
+        _skip_integers(rng, self.modulus, msgs)
         # A user's shares sum to its total mod q, so a group's residue sum
-        # is, mod q, the sum of its users' totals: exact int64 prefix sums.
-        prefix = np.concatenate([[0], np.cumsum(totals)])
-        bounds = np.concatenate([[0], np.cumsum(hcount)])
-        return np.diff(prefix[bounds])[:, None], int(totals.size) * self.shares
+        # is, mod q, the sum of its users' totals: exact int64 group sums.
+        sums = np.zeros(hcount.size, dtype=np.int64)
+        nonempty = hcount > 0
+        starts = (np.cumsum(hcount) - hcount)[nonempty]
+        sums[nonempty] = np.add.reduceat(totals, starts)
+        return sums[:, None], msgs
 
     def finish(self, tally):
         """Each residue sum mod q, centered into (-q/2, q/2]."""
@@ -255,9 +297,11 @@ class SumProtocol(BaseProtocol):
     def fold(self, payloads):
         """The residue sum mod q of the payloads in [0, q)."""
         q = self.modulus
-        ok = (payloads >= 0) & (payloads < q)
-        row = np.array([payloads.sum(where=ok) % q], dtype=np.int64)
-        return row, ok.size - np.count_nonzero(ok)
+        # As unsigned, a negative code lies above q: one compare.
+        ok = payloads.view(np.uint64) < q
+        bad = ok.size - np.count_nonzero(ok)
+        total = payloads.sum(where=ok) if bad else payloads.sum()
+        return np.array([total % q], dtype=np.int64), bad
 
     def error_bound(self, epsilon, beta):
         return dlap_threshold(epsilon, self.query.domain_size, beta)

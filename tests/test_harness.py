@@ -352,6 +352,23 @@ class TestSweepAndEmit:
             sweep(cfg, "n", [1 << 16, 100])
         assert calls == []
 
+    def test_sweep_checks_every_dataset_before_the_first_experiment(
+        self, monkeypatch, tmp_path
+    ):
+        # Four values fit n = 64 but not n = 2: the sweep stops before
+        # running n = 64.
+        path = tmp_path / "four.csv"
+        path.write_text("v\n1\n2\n3\n4\n")
+        calls = []
+        monkeypatch.setattr(harness, "run_experiment", calls.append)
+        cfg = ExperimentConfig(
+            query="count", protocol="hsdp", delta=0.01, trials=2,
+            data=str(path), col="v",
+        )
+        with pytest.raises(ParameterError, match="more than n=2"):
+            sweep(cfg, "n", [64, 2])
+        assert calls == []
+
     def test_unknown_axis(self):
         with pytest.raises(ParameterError):
             sweep(self.cfg(), "beta", [0.1])

@@ -1,6 +1,7 @@
 """Base protocol randomizers, analyzers, and cost descriptors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from shuffleguard.protocols import (
     CountProtocol,
     SumProtocol,
     PrivacyBudget,
+    _skip_integers,
     make_base,
 )
 from shuffleguard.queries import Query, QueryKind, bins_of, eval_query
@@ -356,7 +358,9 @@ def test_tally_level_is_randomize_level_analyzed(
     assert tally_msgs == msgs == sum(p.size for p in payloads)
     want = np.array([proto.analyze(p) for p in payloads]).reshape(tally.shape)
     np.testing.assert_array_equal(proto.finish(tally), want)
-    assert rng_a.integers(1 << 62) == rng_b.integers(1 << 62)
+    # The whole state, buffered 32-bit half included: the sum tally skips
+    # the residues that randomize_level draws.
+    assert rng_b.bit_generator.state == rng_a.bit_generator.state
 
 
 def test_sum_tally_exact_at_largest_modulus():
@@ -382,6 +386,74 @@ def test_sum_tally_exact_at_largest_modulus():
     assert proto.finish(tally)[:, 0].tolist() == [
         proto.analyze(p) for p in payloads
     ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    j=st.integers(3, 62),
+    count=st.integers(0, 2000),
+    buffered=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_skip_integers_moves_the_generator_as_the_draw_does(
+    j, count, buffered, seed
+):
+    drawn, skipped = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        # A 32-bit draw leaves the other half of its output buffered.
+        drawn.integers(0, 2**20)
+        skipped.integers(0, 2**20)
+        assert skipped.bit_generator.state["has_uint32"] == 1
+    drawn.integers(0, 1 << j, size=count)
+    _skip_integers(skipped, 1 << j, count)
+    assert skipped.bit_generator.state == drawn.bit_generator.state
+
+
+def test_skip_integers_draws_on_other_bit_generators():
+    drawn = np.random.Generator(np.random.MT19937(5))
+    skipped = np.random.Generator(np.random.MT19937(5))
+    drawn.integers(0, 1 << 10, size=7)
+    _skip_integers(skipped, 1 << 10, 7)
+    np.testing.assert_equal(skipped.bit_generator.state, drawn.bit_generator.state)
+
+
+def test_sum_tally_level_holds_at_most_four_user_arrays():
+    # The residues are skipped and the groups summed without prefix
+    # arrays, so a level holds no more than a few int64 per user.
+    n, m = 1 << 16, 512
+    proto = sum_proto(u=255, n=n)
+    xs = np.full(n, 255, dtype=np.int64)
+    honest = np.ones(n, bool)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        proto.tally_level(xs, 1.0, m, rng, honest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n
+
+
+@pytest.mark.parametrize(
+    "code",
+    [-(2**63), -1, "q", 2**63 - 1],
+    ids=["int64-min", "minus-one", "q", "int64-max"],
+)
+def test_sum_fold_counts_codes_outside_zero_to_q_malformed(code):
+    proto = sum_proto(u=255, n=1 << 16)
+    q = proto.modulus
+    code = q if code == "q" else code
+    row, malformed = proto.fold(np.array([5, code, q - 1, code], dtype=np.int64))
+    assert row.tolist() == [4] and malformed == 2
+    # A flood is one code broadcast read-only, as Flood sends it.
+    flood = np.broadcast_to(np.array([code], dtype=np.int64), (1 << 16, 1))
+    flood = flood.reshape(-1)
+    assert not flood.flags.writeable
+    row, malformed = proto.fold(flood)
+    assert row.tolist() == [0] and malformed == 1 << 16
+    top = np.broadcast_to(proto.top, (1 << 16, 1)).reshape(-1)
+    row, malformed = proto.fold(top)
+    assert row.tolist() == [(255 << 16) % q] and malformed == 0
 
 
 class TestDescriptors:
