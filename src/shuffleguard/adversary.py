@@ -78,22 +78,37 @@ def corrupt_users(n: int, k: int, rng: np.random.Generator) -> CorruptionSet:
     return CorruptionSet(frozenset(int(i) for i in ids))
 
 
-def malicious_envelopes(
-    strategy, user_id: int, plan: TreePlan, tokens: TokenTable, rng, x: int
-) -> list[Envelope]:
-    """One corrupted user's full output for a run.
+def sends(strategy, user_id: int, plan: TreePlan, rng, x: int) -> list:
+    """One corrupted user's output for a run, as ``(node, payloads)``
+    pairs, where node ``(r, g)`` is the shuffler reached, or None for a
+    guess that names none. ``x`` is the user's true input.
 
-    One envelope per level, through the user's own token of that level,
-    except for Impersonate, which fabricates a guess for the victim's
-    token. ``x`` is the user's true input.
+    Each strategy but Impersonate sends one batch per level, in order,
+    through the user's own token, which names its own group. Impersonate
+    sends ``msgs`` +1 codes under one uniform 63-bit guess, which reaches
+    ``plan.node_at(guess)``. That is exact in law: the guess is
+    independent of any provisioned tokens (their generator feeds nothing
+    else), so every injective numbering of the S nodes into [0, 2^63),
+    random or fixed, gives each node hit probability 2^-63, with the same
+    joint law of hits across attackers.
     """
     if isinstance(strategy, Impersonate):
         guess = int(rng.integers(0, 1 << 63, dtype=np.int64))
-        return [Envelope(guess, np.ones(strategy.msgs, dtype=np.int64))]
+        return [(plan.node_at(guess), np.ones(strategy.msgs, np.int64))]
     return [
-        Envelope(
-            int(ids[plan.group_of(user_id, lp.r) - 1]),
-            strategy.payloads(plan.base, lp, x, rng),
-        )
-        for lp, ids in zip(plan.levels, tokens.levels)
+        ((lp.r, plan.group_of(user_id, lp.r)),
+         strategy.payloads(plan.base, lp, x, rng))
+        for lp in plan.levels
+    ]
+
+
+def malicious_envelopes(
+    strategy, user_id: int, plan: TreePlan, tokens: TokenTable, rng, x: int
+) -> list[Envelope]:
+    """``sends`` as envelopes: each node's payloads under its token in
+    ``tokens``, and a send that names no node under -1, which no token
+    table holds (ids lie in [0, 2^63))."""
+    return [
+        Envelope(int(tokens.levels[nd[0] - 1][nd[1] - 1]) if nd else -1, p)
+        for nd, p in sends(strategy, user_id, plan, rng, x)
     ]

@@ -162,6 +162,9 @@ def main(argv=None) -> int:
     except ShuffleguardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     _print_summaries(summaries)
     return 0
 

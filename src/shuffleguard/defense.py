@@ -111,6 +111,15 @@ class TreePlan:
             for g in range(1, lp.num_groups + 1)
         ]
 
+    def node_at(self, index: int) -> tuple[int, int] | None:
+        """``nodes()[index]`` for a 0-based index >= 0, in O(levels), or
+        None past the last node."""
+        for lp in self.levels:
+            if index < lp.num_groups:
+                return lp.r, index + 1
+            index -= lp.num_groups
+        return None
+
     @property
     def num_shufflers(self) -> int:
         return sum(lp.num_groups for lp in self.levels)

@@ -2,12 +2,11 @@
 
 A trial is fully determined by (config, seed, trial index): the dataset is
 derived from the seed alone (shared by all trials of an experiment), while
-provisioning, honest noise, and adversary choices each draw from
-independent per-trial streams. A trial holds each tree level as arrays
-from the first draw to the published answer (see ``run_trial``). Reported
-metrics follow the usual robust-benchmark conventions: per-metric
-trimmed means over T trials (dropping the top and bottom 10%) plus the
-raw detection rate.
+honest noise and adversary choices each draw from independent per-trial
+streams. A trial holds each tree level as arrays from the first draw to
+the published answer (see ``run_trial``). Reported metrics follow the
+usual robust-benchmark conventions: per-metric trimmed means over T
+trials (dropping the top and bottom 10%) plus the raw detection rate.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .protocols import make_base
 from .queries import (
     Dataset, Query, QueryKind, check_domain, eval_query, value_norm,
 )
-from .runtime import provision
 
 #: The names each name-valued config field accepts.
 CHOICES = {
@@ -318,20 +316,19 @@ def run_trial(
     array per level in place of messages, which the additivity of
     ``base.fold`` allows: honest traffic is drawn as per-level tallies, a
     corrupted user's payloads of each level are folded into its own
-    group's row, and detection runs on the finished rows. Only
-    ``Impersonate`` sends under a token that can miss, so tokens are
-    provisioned and looked up for it alone: payloads under a token that
-    names no node are rejected and counted. Accepted payloads outside the
-    protocol's alphabet are left out of the fold and counted as malformed.
+    group's row, and detection runs on the finished rows. Each corrupted
+    user's traffic comes from ``adversary.sends`` by tree node, so no
+    token is drawn: payloads of a guess that names no node are rejected
+    and counted. Accepted payloads outside the protocol's alphabet are
+    left out of the fold and counted as malformed.
     """
     start = time.perf_counter()
     q = plan.query
     xs = dataset.values
 
     ss = np.random.SeedSequence((config.seed, trial_index))
-    rng_prov, rng_honest, rng_adv = (
-        np.random.default_rng(s) for s in ss.spawn(3)
-    )
+    # Child 0 seeds only the message-level trial's token table.
+    rng_honest, rng_adv = (np.random.default_rng(s) for s in ss.spawn(3)[1:])
 
     strategy = make_strategy(config, plan)
     honest = np.ones(config.n, dtype=bool)
@@ -341,31 +338,17 @@ def run_trial(
         honest[i - 1] = False
 
     tallies, honest_msgs = tally_all(plan, xs, rng_honest, honest)
-    if isinstance(strategy, adv.Impersonate):
-        # A guessed token is the one token that can name no node.
-        tokens = provision(plan, rng_prov)
-        sent = (
-            (tokens.node_of(e.token), e.payloads)
-            for i in attackers
-            for e in adv.malicious_envelopes(
-                strategy, i, plan, tokens, rng_adv, x=int(xs[i - 1])
-            )
-        )
-    else:  # each user's own token of a level names its group
-        sent = (
-            ((lp.r, plan.group_of(i, lp.r)),
-             strategy.payloads(plan.base, lp, int(xs[i - 1]), rng_adv))
-            for i in attackers for lp in plan.levels
-        )
     rejected_msgs = malformed_msgs = 0
-    for node, payloads in sent:
-        if node is None:
-            rejected_msgs += int(payloads.size)
-            continue
-        row, malformed = plan.base.fold(payloads)
-        malformed_msgs += malformed
-        r, g = node
-        tallies[r - 1][g - 1] += row
+    for i in attackers:
+        sent = adv.sends(strategy, i, plan, rng_adv, int(xs[i - 1]))
+        for node, payloads in sent:
+            if node is None:
+                rejected_msgs += int(payloads.size)
+                continue
+            row, malformed = plan.base.fold(payloads)
+            malformed_msgs += malformed
+            r, g = node
+            tallies[r - 1][g - 1] += row
 
     estimate, report = detect(plan, [plan.base.finish(t) for t in tallies])
 

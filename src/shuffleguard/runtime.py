@@ -9,14 +9,14 @@ tokens stripped.
 
 Every analyzer is a symmetric fold over that multiset, so no order it
 could observe needs simulating, and a trial keeps only each level's fold
-(see ``harness.run_trial``). Only a guessed token can miss, so a trial
-provisions a ``TokenTable`` (one int64 id array per level, searched with
-one vector comparison) for impersonation alone.
+(see ``harness.run_trial``). It holds no tokens: ``adversary.sends``
+addresses a corrupted user's traffic by tree node, with the same law.
 
-The message-level form stays for tests and tracing: ``make_inboxes``
-gives one ``ShufflerInbox`` per node, which accepts ``Envelope``s (one
-sender's whole payload array for one shuffler) bearing its token and
-releases its payloads in arrival order.
+The message-level form stays for tests and tracing: ``provision``
+draws a ``TokenTable`` (one int64 id array per level), and its
+``make_inboxes`` gives one ``ShufflerInbox`` per node, which accepts
+``Envelope``s (one sender's whole payload array for one shuffler)
+bearing its token and releases its payloads in arrival order.
 """
 
 from __future__ import annotations
@@ -89,21 +89,9 @@ class TokenTable:
                 break
         self.ids = ids
         self.levels = np.split(ids, starts[1:-1])
-        self._starts = starts
 
     def __len__(self) -> int:
         return int(self.ids.size)
-
-    def node_of(self, token_id: int) -> tuple[int, int] | None:
-        """The (level, group) whose token is ``token_id``, or None."""
-        if not 0 <= token_id < 1 << 63:
-            return None
-        hits = np.flatnonzero(self.ids == token_id)
-        if not hits.size:
-            return None
-        flat = int(hits[0])
-        level = int(np.searchsorted(self._starts, flat, side="right"))
-        return level, flat - int(self._starts[level - 1]) + 1
 
     def make_inboxes(self) -> dict[tuple[int, int], ShufflerInbox]:
         return {

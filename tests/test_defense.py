@@ -197,6 +197,21 @@ def test_budget_invariants(args):
         assert lp.theta == base.error_bound(lp.budget.epsilon, lp.budget.beta)
 
 
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_node_at_is_the_node_order(variant, data):
+    # A guessed token reaches the node it numbers in nodes(), if any.
+    args = data.draw(plan_args(log_n=8).filter(lambda a: a[0] is variant))
+    _, base, n, eps, delta, beta, lam, k_hat = args
+    plan = make_plan(variant, base, n, eps, delta, beta, lam=lam, k_hat=k_hat)
+    nodes = plan.nodes()
+    assert [plan.node_at(i) for i in range(len(nodes))] == nodes
+    past = data.draw(st.integers(len(nodes), (1 << 63) - 1))
+    for index in (len(nodes), past, (1 << 63) - 1):
+        assert plan.node_at(index) is None
+
+
 @st.composite
 def detect_args(draw):
     """A small plan of any variant and query, and per-level estimates:

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shuffleguard import adversary, harness
+from shuffleguard import harness
 from shuffleguard.adversary import corrupt_users, malicious_envelopes
-from shuffleguard.defense import randomize_all
+from shuffleguard.defense import TreePlan, randomize_all
 from shuffleguard.harness import (
     ExperimentConfig,
     build_plan,
@@ -28,7 +28,7 @@ from shuffleguard.harness import (
     run_experiment,
     run_trial,
 )
-from shuffleguard.runtime import Envelope, provision
+from shuffleguard.runtime import provision
 
 from message_level import deliver
 
@@ -141,9 +141,10 @@ def test_message_level_path_in_lock_step(name, monkeypatch):
 
 @pytest.mark.parametrize("node", [(1, 3), (9, 1)], ids=["bottom", "root"])
 def test_guessed_token_on_a_provisioned_id_is_folded(node, monkeypatch):
-    # A guess that equals a provisioned id is accepted by the shuffler it
-    # names: run_trial folds it into that node, as the message-level
-    # path does, and rejects nothing.
+    # A guess that names a node is accepted by that node's shuffler. With
+    # node_at forced to resolve every guess to one node, run_trial folds
+    # the guess into that node and rejects nothing, and the message-level
+    # trial, which delivers it under that node's token, agrees.
     config = CONFIGS["count-hsdp-impersonate"]
     plan = build_plan(config)
     dataset = experiment_dataset(config)
@@ -155,17 +156,10 @@ def test_guessed_token_on_a_provisioned_id_is_folded(node, monkeypatch):
         levels.append([e.copy() for e in estimates])
         return harness_detect(plan, estimates)
 
-    def forced(strategy, i, plan, tokens, rng, x):
-        return [
-            Envelope(int(tokens.levels[r - 1][g - 1]), e.payloads)
-            for e in guessed(strategy, i, plan, tokens, rng, x=x)
-        ]
-
-    harness_detect, guessed = harness.detect, malicious_envelopes
+    harness_detect = harness.detect
     monkeypatch.setattr(harness, "detect", detect)
     missed = run_trial(config, 0, plan=plan, dataset=dataset)
-    monkeypatch.setattr(adversary, "malicious_envelopes", forced)
-    monkeypatch.setitem(globals(), "malicious_envelopes", forced)
+    monkeypatch.setattr(TreePlan, "node_at", lambda self, index: node)
     hit = run_trial(config, 0, plan=plan, dataset=dataset)
 
     msgs = config.attack_msgs_eff

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shuffleguard import harness
+from shuffleguard import harness, runtime
 from shuffleguard.adversary import Flood
 from shuffleguard.datasets import gen_dataset, load_csv
 from shuffleguard.errors import (
@@ -213,8 +213,7 @@ class TestRunTrial:
     )
     def test_analyze_runs_once_per_accepted_adversary_envelope(self, attack, k):
         # Honest traffic is drawn per level as a tally; only adversary
-        # envelopes that bear a provisioned token meet the per-envelope
-        # fold.
+        # sends that name a tree node meet the per-send fold.
         cfg = ExperimentConfig(
             query="hist", u=3, protocol="hsdp", n=64, k=k, attack=attack,
             trials=1, seed=5,
@@ -231,24 +230,20 @@ class TestRunTrial:
     @pytest.mark.parametrize(
         "attack", ["none", "flood", "drop", "alter", "impersonate"]
     )
-    def test_tokens_provisioned_only_for_impersonation(
-        self, query, attack, monkeypatch
-    ):
-        # A corrupted user's own token always names its own group; only a
-        # guessed token can miss, so only impersonation needs tokens. With
-        # no attack, k >= 1 is refused at ingress.
+    def test_run_trial_provisions_no_tokens(self, query, attack, monkeypatch):
+        # A corrupted user's sends are addressed by tree node, and a guess
+        # by its place in the node order: no trial draws a token table.
+        # With no attack, k >= 1 is refused at ingress.
         cfg = ExperimentConfig(
             query=query, u=3, protocol="hsdp", n=16,
             k=int(attack != "none"), attack=attack, trials=1, seed=4,
         )
-        calls = []
-        provision = harness.provision
-        monkeypatch.setattr(
-            harness, "provision",
-            lambda plan, rng: calls.append(1) or provision(plan, rng),
-        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_trial provisioned a token table")
+
+        monkeypatch.setattr(runtime.TokenTable, "__init__", refuse)
         run_trial(cfg, 0, build_plan(cfg), experiment_dataset(cfg))
-        assert len(calls) == (attack == "impersonate")
 
     @pytest.mark.parametrize("query", ["count", "sum", "hist", "range"])
     def test_malformed_payloads_discarded_and_counted(self, query, monkeypatch):
@@ -726,6 +721,26 @@ class TestCli:
         rc = cli.main(["run", "--n", "16", "--trials", "1", *map(str, argv)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_of_memory_is_one_line(self, command, capsys, monkeypatch):
+        # A run too large for the host's memory (a huge --u under hist, or
+        # a huge --attack-msgs) ends as one line with exit code 2. The
+        # allocation failure is simulated: nothing large is allocated.
+        from shuffleguard import cli
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        # sweep runs its experiments through harness.run_experiment.
+        monkeypatch.setattr(cli, "run_experiment", out_of_memory)
+        monkeypatch.setattr(harness, "run_experiment", out_of_memory)
+        argv = ["--axis", "n", "--values", "16"] if command == "sweep" else []
+        rc = cli.main([command, "--n", "16", "--trials", "1", *argv])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 745. GiB for an array\n"
+        )
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
     def test_non_finite_data_is_one_line(self, value, tmp_path, capsys):

@@ -1,8 +1,6 @@
 """Token-authorized shufflers: provisioning, filtering, release."""
 
 import numpy as np
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from shuffleguard.defense import Variant, make_plan
 from shuffleguard.protocols import CountProtocol
@@ -44,32 +42,6 @@ class TestProvision:
         assert not ids_a & ids_b
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    make=st.sampled_from([
-        lambda: make_plan(Variant.SUSDP, count_base(), 16, 1.0, 0.01, 0.1),
-        lambda: make_plan(Variant.BSDP, count_base(), 16, 1.0, 0.01, 0.1),
-        lambda: make_plan(Variant.HSDP, count_base(), 32, 1.0, 0.01, 0.1),
-        lambda: make_plan(
-            Variant.OHSDP, count_base(), 64, 1.0, 0.01, 0.1, lam=8, k_hat=1
-        ),
-    ]),
-    seed=st.integers(0, 2**32 - 1),
-    guess=st.integers(-(1 << 64), 1 << 64),
-)
-def test_node_of_finds_every_node_and_no_guess(make, seed, guess):
-    plan = make()
-    tokens = provision(plan, np.random.default_rng(seed))
-    ids = set(tokens.ids.tolist())
-    for r, g in plan.nodes():
-        tid = int(tokens.levels[r - 1][g - 1])
-        assert tokens.node_of(tid) == (r, g)
-        if tid + 1 not in ids:  # the sorted neighbour of a real id
-            assert tokens.node_of(tid + 1) is None
-    assume(guess not in ids)
-    assert tokens.node_of(guess) is None
-
-
 def test_duplicate_id_redraws_whole_table():
     class Stub:
         """A generator whose first draw repeats an id."""
@@ -85,9 +57,6 @@ def test_duplicate_id_redraws_whole_table():
     assert not stub.draws
     np.testing.assert_array_equal(tokens.ids, [3, 1, 2])
     assert [level.tolist() for level in tokens.levels] == [[3, 1], [2]]
-    assert [tokens.node_of(t) for t in (3, 1, 2, 5)] == [
-        (1, 1), (1, 2), (2, 1), None,
-    ]
 
 
 class TestSubmit:
