@@ -132,6 +132,11 @@ class ExperimentConfig:
         # An input the run would ignore is refused, naming the field that
         # makes it meaningless. k = 0 under an attack stays: it is the
         # attack-free point of a sweep over k.
+        if self.query == "count" and self.u != 1:
+            raise ParameterError(
+                f"--u applies only to sum, hist and range, got --query count "
+                f"--u {self.u}"
+            )
         if self.protocol != "ohsdp":
             for flag, given in (("--lambda", self.lam != "auto"),
                                 ("--khat", self.k_hat is not None)):

@@ -8,7 +8,7 @@ detection rule in the defense layer ultimately calls into this module.
 Supported queries:
   - Count:     inputs in {0,1}, scalar result, l1 geometry.
   - Sum:       inputs in {0..U}, scalar result, l1 geometry.
-  - Histogram: inputs in {0..U}, (U+1)-bin tally, l_inf geometry.
+  - Histogram: inputs in {0..U}, one-level tree of U+1 bins, l_inf geometry.
   - RangeTree: inputs in {0..U}, stacked dyadic-interval tallies (one
                histogram per tree level, flattened), l_inf geometry.
 
@@ -20,7 +20,6 @@ and the token protocols' data tokens both read it.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -46,18 +45,13 @@ def _tree_layout(domain_size: int) -> tuple[tuple[int, int, int], ...]:
     Returns (flat_offset, width, shift) per level, from singleton intervals
     (shift 0) up to the single root interval.
     """
-    base = domain_size + 1
-    padded = 1 << max(0, math.ceil(math.log2(base))) if base > 1 else 1
-    levels = []
-    offset = 0
-    shift = 0
-    width = padded
-    while width >= 1:
-        levels.append((offset, width, shift))
-        offset += width
-        width //= 2
-        shift += 1
-    return tuple(levels)
+    depth = domain_size.bit_length()  # U + 1 values pad to 2^depth
+    top = 1 << depth
+    # Level s has top >> s intervals, after the 2 * (top - (top >> s))
+    # bins of the levels below it.
+    return tuple(
+        (2 * (top - (top >> s)), top >> s, s) for s in range(depth + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -89,16 +83,18 @@ class Query:
     @property
     def num_bins(self) -> int:
         """Length of the (flattened) value vector; 1 for scalar queries."""
-        if self.scalar:
-            return 1
-        if self.kind is QueryKind.HISTOGRAM:
-            return self.domain_size + 1
-        return sum(w for _, w, _ in _tree_layout(self.domain_size))
+        return 1 if self.scalar else sum(w for _, w, _ in self.tree_levels)
 
     @property
     def tree_levels(self) -> tuple[tuple[int, int, int], ...]:
+        """(flat_offset, width, shift) per level of a tally answer: range's
+        dyadic levels, or hist's one, as a histogram is the tree's leaves."""
+        if self.kind is QueryKind.HISTOGRAM:
+            return ((0, self.domain_size + 1, 0),)
         if self.kind is not QueryKind.RANGE_TREE:
-            raise ShapeError("tree_levels is defined for RangeTree only")
+            raise ShapeError(
+                f"{self.kind.value} answers are not tallies of bins"
+            )
         return _tree_layout(self.domain_size)
 
 
@@ -129,22 +125,18 @@ def bins_of(q: Query, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is the flattened bin the unit raises. ``owner`` is always a new array.
 
       - count: x units in bin 0 for the value x;
-      - hist:  one unit in bin x;
-      - range: one unit per tree level, in bin offset + (x >> shift).
+      - hist and range: one unit per tree level, in bin
+        offset + (x >> shift); hist's one level puts it in bin x.
     """
     if q.kind is QueryKind.COUNT:
         owner = np.repeat(np.arange(values.size), values)
         return owner, np.zeros(owner.size, dtype=np.int64)
-    if q.kind is QueryKind.HISTOGRAM:
-        return np.arange(values.size), values
-    if q.kind is QueryKind.RANGE_TREE:
-        levels = q.tree_levels
-        owner = np.repeat(np.arange(values.size), len(levels))
-        bins = np.stack(
-            [offset + (values >> shift) for offset, _, shift in levels], axis=1
-        )
-        return owner, bins.reshape(-1)
-    raise ShapeError(f"{q.kind.value} answers are not tallies of bins")
+    levels = q.tree_levels
+    owner = np.repeat(np.arange(values.size), len(levels))
+    bins = np.stack(
+        [offset + (values >> shift) for offset, _, shift in levels], axis=1
+    )
+    return owner, bins.reshape(-1)
 
 
 def eval_query(q: Query, values: np.ndarray) -> QueryValue:
@@ -202,8 +194,10 @@ def dis_to_range(q: Query, n: int, rows: np.ndarray) -> np.ndarray:
     """Distance from values to the set of attainable size-n query outputs.
 
     ``rows`` is an int64 stack of values of shape ``(rows, num_bins)``,
-    with ``num_bins`` = 1 for count and sum; the result is one float per
-    row.
+    with ``num_bins`` = 1 for count and sum; the result is one int64
+    distance per row, which ``detect`` compares with integer thresholds.
+    Scalars range over [0, n * max_input]; a tally answer is as far as its
+    farthest level is from every histogram of total n.
     """
     if rows.ndim != 2 or rows.shape[1] != q.num_bins:
         raise ShapeError(
@@ -211,16 +205,12 @@ def dis_to_range(q: Query, n: int, rows: np.ndarray) -> np.ndarray:
             f"(rows, {q.num_bins}), got shape {rows.shape}"
         )
     if q.scalar:
-        top = n if q.kind is QueryKind.COUNT else n * q.domain_size
-        dis = np.maximum(0, np.maximum(-rows[:, 0], rows[:, 0] - top))
-    elif q.kind is QueryKind.HISTOGRAM:
-        dis = _hist_dis(rows, n)
-    else:
-        dis = np.max(
-            [
-                _hist_dis(rows[:, offset : offset + width], n)
-                for offset, width, _ in q.tree_levels
-            ],
-            axis=0,
-        )
-    return dis.astype(float)
+        top = n * q.max_input
+        return np.maximum(0, np.maximum(-rows[:, 0], rows[:, 0] - top))
+    return np.max(
+        [
+            _hist_dis(rows[:, offset : offset + width], n)
+            for offset, width, _ in q.tree_levels
+        ],
+        axis=0,
+    )

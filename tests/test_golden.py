@@ -43,8 +43,8 @@ ATTACKS = (
 #: n = 256 is a power of two (hsdp, ohsdp) and a perfect square (bsdp).
 CONFIGS = {
     f"{query}-{protocol}-{attack}": ExperimentConfig(
-        query=query, u=7, protocol=protocol, n=256, k=k, attack=attack,
-        trials=3, seed=11,
+        query=query, u=1 if query == "count" else 7, protocol=protocol,
+        n=256, k=k, attack=attack, trials=3, seed=11,
     )
     for query in QUERIES
     for protocol in PROTOCOLS

@@ -235,8 +235,8 @@ class TestRunTrial:
         # by its place in the node order: no trial draws a token table.
         # With no attack, k >= 1 is refused at ingress.
         cfg = ExperimentConfig(
-            query=query, u=3, protocol="hsdp", n=16,
-            k=int(attack != "none"), attack=attack, trials=1, seed=4,
+            query=query, u=1 if query == "count" else 3, protocol="hsdp",
+            n=16, k=int(attack != "none"), attack=attack, trials=1, seed=4,
         )
 
         def refuse(*args, **kwargs):
@@ -251,8 +251,8 @@ class TestRunTrial:
         # out-of-alphabet ones are discarded and counted, never fatal, and
         # the trial is the same-seed trial of the plain flood.
         cfg = ExperimentConfig(
-            query=query, u=7, protocol="ohsdp", n=1024, k=1, attack="flood",
-            attack_msgs=40, trials=2, seed=7,
+            query=query, u=1 if query == "count" else 7, protocol="ohsdp",
+            n=1024, k=1, attack="flood", attack_msgs=40, trials=2, seed=7,
         )
         plan = build_plan(cfg)
         base = plan.base
@@ -414,8 +414,8 @@ class TestSweepAndEmit:
         # Left at their defaults, eps, delta, k_hat and attack_msgs are
         # written as the values the run used, not as empty cells.
         cfg = ExperimentConfig(
-            query=query, u=3, protocol="ohsdp", n=64, k=2, attack="flood",
-            trials=2, seed=0,
+            query=query, u=1 if query == "count" else 3, protocol="ohsdp",
+            n=64, k=2, attack="flood", trials=2, seed=0,
         )
         path = tmp_path / "out.csv"
         emit([run_experiment(cfg)], "csv", path)
@@ -665,7 +665,7 @@ class TestCli:
         data = tmp_path / "d.csv"
         data.write_text("0\n1\n5\n")
         rc = main([
-            "run", "--query", "count", "--u", "5", "--data", str(data),
+            "run", "--query", "count", "--cap", "5", "--data", str(data),
             "--n", "16", "--trials", "2",
         ])
         assert rc == 2
@@ -792,7 +792,10 @@ class TestCli:
         [("count", "-1", "must be nonnegative, got -1"),
          ("hist", "-1", "must be nonnegative, got -1"),
          ("range", "-3", "must be nonnegative, got -3"),
-         ("sum", "0", "--u must be at least 1 for sum, got 0")],
+         ("sum", "0", "--u must be at least 1 for sum, got 0"),
+         # Count's inputs are bits: a U it would ignore is refused.
+         ("count", "7", "applies only to sum, hist and range, got --query "
+                        "count --u 7")],
     )
     def test_bad_domain_size_is_one_line(self, query, u, needle, capsys):
         from shuffleguard.cli import main

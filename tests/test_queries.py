@@ -130,6 +130,45 @@ def test_bins_of_matches_per_value_oracle(q, data):
         assert sorted(bins[owner == i].tolist()) == sorted(units)
 
 
+def test_hist_is_the_range_trees_one_level():
+    for u in range(41):
+        assert hist(u).tree_levels == ((0, u + 1, 0),)
+
+
+@pytest.mark.parametrize("q", [COUNT, sum_q(4)])
+def test_scalar_answers_have_no_tree_levels(q):
+    with pytest.raises(ShapeError, match="not tallies of bins"):
+        q.tree_levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.integers(0, 40), data=st.data())
+def test_hist_bins_are_the_values(u, data):
+    values = np.asarray(
+        data.draw(st.lists(st.integers(0, u), max_size=30)), dtype=np.int64
+    )
+    owner, bins = bins_of(hist(u), values)
+    np.testing.assert_array_equal(owner, np.arange(values.size))
+    np.testing.assert_array_equal(bins, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 41).flatmap(
+        lambda w: st.lists(
+            st.lists(st.integers(-100, 100), min_size=w, max_size=w),
+            min_size=1, max_size=5,
+        )
+    ),
+    n=st.integers(0, 64),
+)
+def test_hist_dis_to_range_is_hist_dis(rows, n):
+    rows = np.asarray(rows, dtype=np.int64)
+    np.testing.assert_array_equal(
+        dis_to_range(hist(rows.shape[1] - 1), n, rows), _hist_dis(rows, n)
+    )
+
+
 def test_union_preserving_random_splits_count():
     rng = np.random.default_rng(0)
     values = rng.integers(0, 2, size=50)
@@ -168,7 +207,8 @@ class TestDisToRange:
             for n in (0, 1, 5, 20):
                 d = rng.integers(0, q.max_input + 1, size=n)
                 v = np.reshape(eval_query(q, d), (1, -1))
-                assert dis_to_range(q, n, v).tolist() == [0]
+                dis = dis_to_range(q, n, v)
+                assert dis.dtype == np.int64 and dis.tolist() == [0]
             # The answers of six size-5 datasets as one stack, one per row.
             datasets = stack_rng.integers(0, q.max_input + 1, size=(6, 5))
             stack = np.asarray([np.reshape(eval_query(q, d), -1) for d in datasets])
