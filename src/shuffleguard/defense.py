@@ -9,8 +9,10 @@ estimate is out of range (bottom level) or inconsistent with its children
 damage any flooding attacker can do to the published top-level answer.
 
 A level is held as arrays throughout: ``tally_all`` draws each level's
-honest traffic as one ``(num_groups, bins)`` tally, and ``detect`` flags
-and recovers the whole tree from one estimate array per level.
+honest traffic as one ``(num_groups, bins)`` tally (one
+``base.tally_levels`` call over the plan's levels), and ``detect`` flags
+and recovers the whole tree from one estimate array per level, testing
+the bottom level against its threshold with ``queries.within_range``.
 ``randomize_all`` and ``analyze`` are the message-level forms of the two
 (envelopes in, released multisets out) and share their draws and their
 detector.
@@ -37,7 +39,10 @@ import numpy as np
 
 from .errors import ParameterError, StructureError
 from .protocols import BaseProtocol, PrivacyBudget
-from .queries import Query, dis_to_range
+# dis_to_range is unused here. It stays importable from this module only
+# because the benchmark's traced replay (bench/tracing.py) wraps
+# ``defense.dis_to_range``, until that replay stops (ROADMAP item 4 step 2).
+from .queries import Query, dis_to_range, within_range  # noqa: F401
 from .runtime import Envelope, TokenTable
 
 
@@ -268,17 +273,13 @@ def tally_all(
     the bool mask of the users who randomize their input.
 
     Each tally is the int64 ``(num_groups, bins)`` array of
-    ``BaseProtocol.tally_level``; no payload is materialized.
+    ``BaseProtocol.tally_levels``, which draws the plan's levels in one
+    call; no payload is materialized.
     """
-    tallies = []
-    total = 0
-    for lp in plan.levels:
-        tally, count = plan.base.tally_level(
-            xs, lp.budget.epsilon, lp.group_size, rng, honest
-        )
-        tallies.append(tally)
-        total += count
-    return tallies, total
+    return plan.base.tally_levels(
+        xs, [(lp.budget.epsilon, lp.group_size) for lp in plan.levels],
+        rng, honest,
+    )
 
 
 def randomize_all(
@@ -316,7 +317,8 @@ def detect(plan: TreePlan, levels: list[np.ndarray]) -> tuple:
     ``levels`` holds each level's group estimates, bottom first, as one
     int64 array of shape ``(num_groups, bins)`` (``bins`` = 1 for count
     and sum). Bottom groups are flagged when their estimate is farther
-    from the attainable output range than the level's noise threshold;
+    from the attainable output range than the level's noise threshold
+    (one ``queries.within_range`` test of the whole level);
     upper groups when any child was flagged or when max |estimate - sum
     of children| exceeds the combined thresholds. Flagged bottom groups
     recover to zero, flagged upper groups to the sum of their children's
@@ -330,7 +332,7 @@ def detect(plan: TreePlan, levels: list[np.ndarray]) -> tuple:
     bottom = plan.levels[0]
     valid = np.ones(bottom.num_groups, dtype=bool)
     if plan.detects:
-        valid = dis_to_range(q, bottom.group_size, levels[0]) <= bottom.theta
+        valid = within_range(q, bottom.group_size, levels[0], bottom.theta)
     rec = np.where(valid[:, None], levels[0], 0)
     valids = [valid]
     for lp, level in zip(plan.levels[1:], levels[1:]):

@@ -17,7 +17,10 @@ array of r, a long run of r = 1 is one exponential fill, the elements
 between such runs are one per-element ``standard_gamma`` call, and the
 draws and the generator state after them are those of the one broadcast
 ``gamma`` call, which costs about twice as much per element. A scalar r
-is drawn by one scalar ``gamma`` call. The Poisson draw is unchanged.
+is drawn by one scalar ``gamma`` call. An r broadcast along trailing
+axes, such as the token protocols' ``(groups, 1)`` shares at size
+``(groups, bins)``, is searched for runs before it expands. The Poisson
+draw is unchanged.
 ``tests/test_noise.py::test_nb_sample_is_gamma_poisson`` pins these
 facts.
 """
@@ -78,18 +81,25 @@ def dlap_threshold(epsilon_eff: float, sensitivity: int, beta: float) -> int:
     return t
 
 
-def _standard_gamma(r: np.ndarray, rng: np.random.Generator, out: np.ndarray):
-    """Fill ``out`` with the draws of ``rng.standard_gamma(r)``, run by run.
+def _standard_gamma(
+    r: np.ndarray, reps: int, rng: np.random.Generator, out: np.ndarray
+):
+    """Fill ``out`` with the draws of ``rng.standard_gamma(np.repeat(r,
+    reps))``, run by run.
 
-    ``r`` and ``out`` are flat and of one length. A run of r = 1 of at
-    least ``MIN_RUN`` elements is one ``standard_exponential`` fill; the
-    elements between two such runs are drawn together, in one
-    per-element ``standard_gamma`` call.
+    ``r`` and ``out`` are flat, ``out`` holding ``reps`` draws per element
+    of ``r``. The runs are found on ``r``, each run of it being ``reps``
+    times as long in ``out``. A run of r = 1 of at least ``MIN_RUN``
+    draws is one ``standard_exponential`` fill; the draws between two
+    such runs are drawn together, in one per-element ``standard_gamma``
+    call.
     """
-    if not r.size:
+    if not out.size:
         return
     starts = np.concatenate([[0], np.flatnonzero(r[1:] != r[:-1]) + 1])
-    ones = (np.diff(starts, append=r.size) >= MIN_RUN) & (r[starts] == 1.0)
+    ones = (np.diff(starts, append=r.size) * reps >= MIN_RUN) & (
+        r[starts] == 1.0
+    )
     # A call starts at each run of ones and at each other run after one.
     cut = ones.copy()
     cut[1:] |= ones[:-1]
@@ -97,9 +107,11 @@ def _standard_gamma(r: np.ndarray, rng: np.random.Generator, out: np.ndarray):
     calls = starts[cut].tolist()
     for s, e, is_ones in zip(calls, calls[1:] + [r.size], ones[cut].tolist()):
         if is_ones:
-            rng.standard_exponential(out=out[s:e])
+            rng.standard_exponential(out=out[s * reps : e * reps])
         else:
-            rng.standard_gamma(r[s:e], out=out[s:e])
+            rng.standard_gamma(
+                np.repeat(r[s:e], reps), out=out[s * reps : e * reps]
+            )
 
 
 def nb_sample(r, p: float, rng: np.random.Generator, size=None) -> np.ndarray:
@@ -131,6 +143,13 @@ def nb_sample(r, p: float, rng: np.random.Generator, size=None) -> np.ndarray:
             np.asarray(r, dtype=float), np.shape(r) if size is None else size
         )
         lam = np.empty(r.shape)
-        _standard_gamma(r.reshape(-1), rng, lam.reshape(-1))
+        # Trailing broadcast axes repeat each r in place: the run search
+        # reads the r before they expand it, a bin-fold smaller for the
+        # token protocols' (groups, bins) view of per-group shares.
+        reps = 1
+        while r.ndim and r.shape[-1] and r.strides[-1] == 0:
+            reps *= r.shape[-1]
+            r = r[..., 0]
+        _standard_gamma(r.reshape(-1), reps, rng, lam.reshape(-1))
         lam *= scale
     return np.asarray(rng.poisson(lam), dtype=np.int64)

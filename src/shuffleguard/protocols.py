@@ -37,15 +37,19 @@ contiguous runs of m users), and then takes one of two forms:
   - ``tally_level``: the level's ``(groups, bins)`` tally, whose row g
     finishes as the fold of group g's payloads does, plus the exact
     honest message count. No payload is materialized; envelopes' fold
-    rows add to its rows. The token protocols add the level's data-token
-    rows, from one ``bins_of`` over all users less the corrupted users'
-    units, to its positive noise in place. The sum tally sums each
-    group's totals and never draws the share residues: it advances the
-    generator past them (``_skip_integers``).
+    rows add to its rows. It is the one-level case of ``tally_levels``,
+    which draws a whole tree's levels, bottom first, in one call. The
+    token protocols take the bottom level's data-token rows from one
+    ``bins_of`` over all users less the corrupted users' units, and each
+    level above sums them from its children's rows; each level's rows
+    are added to its positive noise in place, after its noise is drawn.
+    The sum tally sums each group's totals and never draws the share
+    residues: it advances the generator past them (``_skip_integers``).
   - ``randomize_level``: the same draw as one payload array per group, for
     the message-level path, which the tests and the benchmark's traced
     replay keep as an oracle. The token protocols list each group's codes
-    in code order through ``_emit_codes``.
+    in code order through ``_emit_codes``, with data rows computed from
+    ``bins_of`` at every level, independently of ``tally_levels``' sums.
 
 Both leave the generator in the same state, so they describe the same
 trial.
@@ -181,6 +185,25 @@ class BaseProtocol:
         """
         raise NotImplementedError
 
+    def tally_levels(
+        self,
+        xs: np.ndarray,
+        levels,
+        rng,
+        honest: np.ndarray,
+    ) -> tuple[list[np.ndarray], int]:
+        """Levels of ``randomize_level`` as additive tallies, in order.
+
+        ``levels`` lists each level's ``(epsilon, m)``, bottom first, and
+        each m divides the next. Level i is drawn as ``randomize_level``
+        draws it, after the levels before it, so ``rng`` ends in the
+        state that those calls leave. Returns one int64 array of shape
+        ``(groups, bins)`` per level (``bins`` = 1 for count and sum),
+        whose row g finishes as the ``fold`` row of group g's payloads
+        does, plus the total honest message count.
+        """
+        raise NotImplementedError
+
     def tally_level(
         self,
         xs: np.ndarray,
@@ -189,15 +212,10 @@ class BaseProtocol:
         rng,
         honest: np.ndarray,
     ) -> tuple[np.ndarray, int]:
-        """The level of ``randomize_level`` as an additive tally.
-
-        Same arguments as ``randomize_level``, and it leaves ``rng`` in
-        the same state. Returns an
-        int64 array of shape ``(groups, bins)`` (``bins`` = 1 for count and
-        sum) whose row g finishes as the ``fold`` row of group g's
-        payloads does, plus the total honest message count.
-        """
-        raise NotImplementedError
+        """The level of ``randomize_level`` as an additive tally: the
+        one-level case of ``tally_levels``."""
+        (tally,), count = self.tally_levels(xs, [(epsilon, m)], rng, honest)
+        return tally, count
 
     # -- analysis ----------------------------------------------------------
 
@@ -274,7 +292,9 @@ class SumProtocol(BaseProtocol):
         groups = np.split(payloads, np.cumsum(hcount * self.shares)[:-1])
         return groups, int(payloads.size)
 
-    def tally_level(self, xs, epsilon, m, rng, honest):
+    def _sums(self, xs, epsilon, m, rng, honest):
+        """One level's ``(groups, 1)`` tally and message count. A call per
+        level frees its per-user arrays before the next level's draw."""
         totals, hcount = self._draw(xs, epsilon, m, rng, honest)
         msgs = int(totals.size) * self.shares
         # The residues leave no trace in the sums below, so they are
@@ -287,6 +307,10 @@ class SumProtocol(BaseProtocol):
         starts = (np.cumsum(hcount) - hcount)[nonempty]
         sums[nonempty] = np.add.reduceat(totals, starts)
         return sums[:, None], msgs
+
+    def tally_levels(self, xs, levels, rng, honest):
+        drawn = [self._sums(xs, eps, m, rng, honest) for eps, m in levels]
+        return [tally for tally, _ in drawn], sum(msgs for _, msgs in drawn)
 
     def finish(self, tally):
         """Each residue sum mod q, centered into (-q/2, q/2]."""
@@ -332,10 +356,12 @@ class _TokenProtocol(BaseProtocol):
         counts: NB(h/m, p) per bin and sign, for the h honest users of
         each row of the ``(groups, m)`` honest mask."""
         p = noise_base(epsilon / self.per_user, 1)
-        share = groups.mean(axis=1)  # h/m exactly: a sum of 0s and 1s
-        r = np.broadcast_to(share[:, None], (share.size, self.bins))
-        pos = nb_sample(r, p, rng)
-        neg = nb_sample(r, p, rng)
+        # h/m: the float of groups.mean(axis=1), as h is exact in one.
+        share = groups.sum(axis=1, dtype=float)
+        share /= groups.shape[1]
+        size = (share.size, self.bins)
+        pos = nb_sample(share[:, None], p, rng, size=size)
+        neg = nb_sample(share[:, None], p, rng, size=size)
         return pos, neg
 
     def _data_rows(self, xs, honest, m):
@@ -358,13 +384,26 @@ class _TokenProtocol(BaseProtocol):
         pos += self._data_rows(xs, honest, m)
         return _emit_codes(np.hstack([pos, neg]))
 
-    def tally_level(self, xs, epsilon, m, rng, honest):
-        tally, neg = self._noise(epsilon, _by_group(honest, m), rng)
-        rows = self._data_rows(xs, honest, m)
-        count = int(tally.sum()) + int(neg.sum()) + int(rows.sum())
-        tally -= neg
-        tally += rows
-        return tally, count
+    def tally_levels(self, xs, levels, rng, honest):
+        # Only the bottom level's data rows come from the users' units;
+        # every level above sums its children's rows, which is exact as
+        # each of its groups is a run of whole groups below.
+        tallies = []
+        count = 0
+        rows = None
+        for epsilon, m in levels:
+            tally, neg = self._noise(epsilon, _by_group(honest, m), rng)
+            if rows is None:
+                rows = self._data_rows(xs, honest, m)
+                units = int(rows.sum())  # the data tokens of every level
+            else:
+                rows = rows.reshape(tally.shape[0], -1, self.bins).sum(axis=1)
+            count += int(tally.sum()) + int(neg.sum()) + units
+            tally -= neg
+            del neg  # freed before the next level's draw
+            tally += rows
+            tallies.append(tally)
+        return tallies, count
 
     def fold(self, payloads):
         # Code c lands in slot c + bins + 1. Slots 0, bins + 1 and

@@ -3,7 +3,9 @@
 A query here is union-preserving: evaluating it on the disjoint union of two
 datasets equals the sum of the per-dataset results. That additivity is what
 lets group estimates be checked against the sums of their subgroups, so every
-detection rule in the defense layer ultimately calls into this module.
+detection rule in the defense layer ultimately calls into this module: the
+bottom level's test is ``within_range``, and ``dis_to_range`` is the exact
+distance it is checked against.
 
 Supported queries:
   - Count:     inputs in {0,1}, scalar result, l1 geometry.
@@ -190,20 +192,51 @@ def _hist_dis(rows: np.ndarray, n: int) -> np.ndarray:
     return dis
 
 
-def dis_to_range(q: Query, n: int, rows: np.ndarray) -> np.ndarray:
-    """Distance from values to the set of attainable size-n query outputs.
-
-    ``rows`` is an int64 stack of values of shape ``(rows, num_bins)``,
-    with ``num_bins`` = 1 for count and sum; the result is one int64
-    distance per row, which ``detect`` compares with integer thresholds.
-    Scalars range over [0, n * max_input]; a tally answer is as far as its
-    farthest level is from every histogram of total n.
-    """
+def _check_rows(q: Query, rows: np.ndarray) -> None:
     if rows.ndim != 2 or rows.shape[1] != q.num_bins:
         raise ShapeError(
             f"{q.kind.value} values must be a stack of shape "
             f"(rows, {q.num_bins}), got shape {rows.shape}"
         )
+
+
+def within_range(q: Query, n: int, rows: np.ndarray, t: int) -> np.ndarray:
+    """Whether each row lies within distance t >= 0 of an attainable
+    size-n query output: ``dis_to_range(q, n, rows) <= t``, without the
+    distance.
+
+    ``rows`` is as for ``dis_to_range``. Feasibility only loosens as t
+    grows, so the test is ``_hist_dis``'s feasibility of t itself: a
+    scalar within [-t, n * max_input + t], and at every level of a tally,
+    min v >= -t, sum max(v - t, 0) <= n and sum max(v + t, 0) >= n. Once
+    min v >= -t, the last sum is sum v + width * t. It sorts nothing and
+    takes no quotient.
+    """
+    _check_rows(q, rows)
+    if q.scalar:
+        v = rows[:, 0]
+        return (v >= -t) & (v <= n * q.max_input + t)
+    ok = rows.min(axis=1) >= -t
+    over = rows - t
+    np.maximum(over, 0, out=over)
+    for offset, width, _ in q.tree_levels:
+        ok &= over[:, offset : offset + width].sum(axis=1) <= n
+        ok &= rows[:, offset : offset + width].sum(axis=1) >= n - width * t
+    return ok
+
+
+def dis_to_range(q: Query, n: int, rows: np.ndarray) -> np.ndarray:
+    """Distance from values to the set of attainable size-n query outputs.
+
+    ``rows`` is an int64 stack of values of shape ``(rows, num_bins)``,
+    with ``num_bins`` = 1 for count and sum; the result is one int64
+    distance per row. Scalars range over [0, n * max_input]; a tally
+    answer is as far as its farthest level is from every histogram of
+    total n. Detection only asks whether a distance is within a
+    threshold, which ``within_range`` answers without it; this exact
+    distance is the oracle that ``within_range`` is tested against.
+    """
+    _check_rows(q, rows)
     if q.scalar:
         top = n * q.max_input
         return np.maximum(0, np.maximum(-rows[:, 0], rows[:, 0] - top))

@@ -361,6 +361,42 @@ def test_noiseless_tallies_are_honest_answers(variant, query, n, seed):
         np.testing.assert_array_equal(tally, np.stack(want))
 
 
+@pytest.mark.parametrize(
+    "query",
+    [Query(QueryKind.COUNT), Query(QueryKind.HISTOGRAM, 3),
+     Query(QueryKind.RANGE_TREE, 7)],
+    ids=["count", "hist", "range"],
+)
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tally_all_is_each_levels_data_rows_plus_noise(variant, query, seed):
+    # tally_all sums each level's data rows up from the level below; a
+    # loop that rebuilds every level's rows from all users, under the
+    # same seed, must give the same tallies, counts and generator state.
+    n = 16
+    plan = make_plan(
+        variant, make_base(query, n), n, 1.0, 0.01, 0.1, lam=4, k_hat=1
+    )
+    base = plan.base
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, query.max_input + 1, size=n)
+    honest = rng.random(n) < rng.random()
+    got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+    tallies, count = tally_all(plan, xs, got_rng, honest)
+    want_count = 0
+    assert len(tallies) == len(plan.levels)
+    for lp, tally in zip(plan.levels, tallies):
+        m = lp.group_size
+        pos, neg = base._noise(lp.budget.epsilon, honest.reshape(-1, m), want_rng)
+        rows = base._data_rows(xs, honest, m)
+        want_count += int(pos.sum()) + int(neg.sum()) + int(rows.sum())
+        assert tally.dtype == np.int64
+        np.testing.assert_array_equal(tally, pos - neg + rows)
+    assert count == want_count
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestAnalyze:
     def test_noiseless_exact_no_flags(self):
         xs = np.asarray([1, 0, 1, 1, 0, 1, 1, 1], dtype=np.int64)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -152,6 +152,35 @@ def test_nb_sample_is_gamma_poisson(pattern, p, seed):
     else:
         want = gamma_poisson(r, p, rng_b, size=size)
     assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from([1, 3, 22, MIN_RUN, 150])),
+        min_size=1, max_size=6,
+    ),
+    bins=st.sampled_from([1, 3, 31]),
+    p=st.sampled_from([math.exp(-1.0), 0.99]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(runs=[(4, 1)], bins=31, p=0.5, seed=0)  # g = 1, one short run
+@example(runs=[(0, 3), (4, 22), (2, 1)], bins=3, p=0.5, seed=1)
+def test_nb_sample_column_of_shares_is_its_repeat(runs, bins, p, seed):
+    # A (groups, 1) column of shares drawn at size (groups, bins) is the
+    # draw of the repeated shares: the run search on the column scales
+    # each run by bins, so a run too short for an exponential fill
+    # before the repeat (22 or 3 shares) may reach MIN_RUN after it.
+    share = np.repeat(
+        np.array([h / 4 for h, _ in runs]), [k for _, k in runs]
+    )
+    g = share.size
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = nb_sample(share[:, None], p, rng_a, size=(g, bins))
+    want = nb_sample(np.repeat(share, bins).reshape(g, bins), p, rng_b)
+    assert got.shape == (g, bins)
     np.testing.assert_array_equal(got, want)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 

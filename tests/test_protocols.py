@@ -363,6 +363,30 @@ def test_tally_level_is_randomize_level_analyzed(
     assert rng_b.bit_generator.state == rng_a.bit_generator.state
 
 
+@pytest.mark.parametrize("m", [1, 16, 512])
+def test_all_honest_token_noise_is_one_fill_per_sign(m):
+    # Every share of an all-honest level is 1: the run search finds one
+    # run over the (groups, bins) draws, one exponential fill per sign.
+    class Spy:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, []
+
+        def __getattr__(self, name):
+            method = getattr(self.rng, name)
+
+            def call(*args, **kwargs):
+                self.calls.append(name)
+                return method(*args, **kwargs)
+
+            return call
+
+    proto = range_proto(u=15)
+    spy = Spy(np.random.default_rng(m))
+    pos, neg = proto._noise(1.0, np.ones((2048 // m, m), bool), spy)
+    assert pos.shape == neg.shape == (2048 // m, proto.bins)
+    assert spy.calls == ["standard_exponential", "poisson"] * 2
+
+
 def test_sum_tally_exact_at_largest_modulus():
     # The sum workload of the benchmark (U = 255, n = 2**16) has the
     # largest modulus of the golden and benchmark configs: q = 2**26.
@@ -432,6 +456,32 @@ def test_sum_tally_level_holds_at_most_four_user_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 8 * n
+
+
+@pytest.mark.parametrize(
+    "proto,levels",
+    [(sum_proto(u=255, n=1 << 16), [(1.0, 512), (1.0, 1024), (1.0, 1 << 16)]),
+     (range_proto(u=15), [(1.0, 1), (1.0, 2), (1.0, 4)])],
+    ids=["sum", "range"],
+)
+def test_tally_levels_peak_is_the_bottom_levels(proto, levels):
+    # A level's draw arrays are freed before the next level's draw, so
+    # drawing more levels adds to the bottom level's peak no more than
+    # the second level's tally (and, for tokens, its summed data rows),
+    # give or take small arrays: far less than one more int64 per user.
+    n = 1 << 16
+    xs = np.full(n, proto.query.max_input, dtype=np.int64)
+    honest = np.ones(n, bool)
+    peaks = []
+    for drawn in (levels[:1], levels[:1], levels):
+        tracemalloc.start()
+        try:
+            proto.tally_levels(xs, drawn, np.random.default_rng(0), honest)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    second = 8 * n // levels[1][1] * proto.query.num_bins
+    assert peaks[2] <= peaks[1] + second + n
 
 
 @pytest.mark.parametrize(

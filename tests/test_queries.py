@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shuffleguard.errors import DomainError, ShapeError
@@ -16,6 +16,7 @@ from shuffleguard.queries import (
     bins_of,
     dis_to_range,
     eval_query,
+    within_range,
 )
 
 COUNT = Query(QueryKind.COUNT)
@@ -258,3 +259,41 @@ def test_hist_dis_is_least_feasible_t(rows, n):
     )
     assert feasible[-1].all()
     np.testing.assert_array_equal(_hist_dis(rows, n), feasible.argmax(axis=0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.sampled_from(
+        [COUNT, sum_q(4), hist(0), hist(5), tree(0), tree(1), tree(6)]
+    ),
+    n=st.integers(0, 40),
+    t=st.integers(0, 80),
+    data=st.data(),
+)
+@example(q=tree(6), n=0, t=0, data=None)
+@example(q=COUNT, n=0, t=0, data=None)
+def test_within_range_is_dis_to_range_within_t(q, n, t, data):
+    # detect's threshold test against the exact distance, at the drawn t
+    # and at every row's distance and one below it, where the answer
+    # turns. Rows may be negative and a stack may be one row.
+    if data is None:
+        rows = np.asarray([[-1] + [0] * (q.num_bins - 1)], dtype=np.int64)
+    else:
+        rows = np.asarray(
+            data.draw(st.lists(
+                st.lists(st.integers(-60, 60), min_size=q.num_bins,
+                         max_size=q.num_bins),
+                min_size=1, max_size=5,
+            )),
+            dtype=np.int64,
+        )
+    dis = dis_to_range(q, n, rows)
+    for t in {t, *dis.tolist(), *np.maximum(dis - 1, 0).tolist()}:
+        got = within_range(q, n, rows, t)
+        assert got.dtype == bool and got.shape == (rows.shape[0],)
+        np.testing.assert_array_equal(got, dis <= t)
+
+
+def test_within_range_checks_the_shape():
+    with pytest.raises(ShapeError):
+        within_range(hist(2), 2, np.zeros((4, 2), dtype=np.int64), 1)
