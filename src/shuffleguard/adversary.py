@@ -4,12 +4,16 @@ and impersonation attempts.
 A corrupted user keeps exactly the capabilities of an honest one — the
 shuffler tokens of its own groups and the protocol's public parameters —
 and may send any payloads through them; malformed ones are left out of
-the protocol's fold and counted. Every strategy but ``Impersonate`` is
-one ``payloads(base, lp, x, rng)`` method: what the user, whose true
-input is ``x``, sends through its own token of level ``lp``. It replaces
-the user's honest contribution entirely (a strictly stronger adversary
-than one that also participates honestly). ``Impersonate`` targets a
-group the attacker is not in and can only guess that group's token.
+the protocol's fold and counted. Traffic is a payload multiset
+``(codes, counts)``: int64 arrays of one length, code ``codes[i]`` sent
+``counts[i]`` times. So a flood is a few codes with large counts, never
+an array of its messages, and its cost does not grow with its size.
+Every strategy but ``Impersonate`` is one ``multiset(base, lp, x, rng)``
+method: what the user, whose true input is ``x``, sends through its own
+token of level ``lp``. It replaces the user's honest contribution
+entirely (a strictly stronger adversary than one that also participates
+honestly). ``Impersonate`` targets a group the attacker is not in and
+can only guess that group's token.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .defense import LevelPlan, TreePlan
 from .errors import ParameterError
-from .protocols import BaseProtocol
+from .protocols import BaseProtocol, unit_counts
 from .runtime import Envelope, TokenTable
 
 
@@ -32,29 +36,29 @@ class Flood:
 
     msgs: int
 
-    def payloads(self, base: BaseProtocol, lp: LevelPlan, x: int, rng):
-        # np.tile(base.top, msgs); a read-only view, not a copy, when the
-        # top is one code (count and sum).
-        return np.broadcast_to(base.top, (self.msgs, base.top.size)).reshape(-1)
+    def multiset(self, base: BaseProtocol, lp: LevelPlan, x: int, rng):
+        return base.top, np.full(base.top.size, self.msgs, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class DropNoise:
     """Participate with data tokens only, contributing zero noise shares."""
 
-    def payloads(self, base: BaseProtocol, lp: LevelPlan, x: int, rng):
+    def multiset(self, base: BaseProtocol, lp: LevelPlan, x: int, rng):
         # At epsilon = inf the randomizer adds no noise tokens.
-        return base.randomize(x, math.inf, 1, rng)
+        codes = base.randomize(x, math.inf, 1, rng)
+        return codes, unit_counts(codes)
 
 
 @dataclass(frozen=True)
 class AlterInput:
     """Run the honest randomizer on a forged input: the domain's largest."""
 
-    def payloads(self, base: BaseProtocol, lp: LevelPlan, x: int, rng):
-        return base.randomize(
+    def multiset(self, base: BaseProtocol, lp: LevelPlan, x: int, rng):
+        codes = base.randomize(
             base.query.max_input, lp.budget.epsilon, lp.group_size, rng
         )
+        return codes, unit_counts(codes)
 
 
 @dataclass(frozen=True)
@@ -79,25 +83,29 @@ def corrupt_users(n: int, k: int, rng: np.random.Generator) -> CorruptionSet:
 
 
 def sends(strategy, user_id: int, plan: TreePlan, rng, x: int) -> list:
-    """One corrupted user's output for a run, as ``(node, payloads)``
-    pairs, where node ``(r, g)`` is the shuffler reached, or None for a
-    guess that names none. ``x`` is the user's true input.
+    """One corrupted user's output for a run, as ``(node, codes, counts)``
+    triples, where node ``(r, g)`` is the shuffler reached, or None for a
+    guess that names none, and ``(codes, counts)`` is the payload
+    multiset sent there. ``x`` is the user's true input.
 
-    Each strategy but Impersonate sends one batch per level, in order,
+    Each strategy but Impersonate sends one multiset per level, in order,
     through the user's own token, which names its own group. Impersonate
-    sends ``msgs`` +1 codes under one uniform 63-bit guess, which reaches
-    ``plan.node_at(guess)``. That is exact in law: the guess is
-    independent of any provisioned tokens (their generator feeds nothing
-    else), so every injective numbering of the S nodes into [0, 2^63),
-    random or fixed, gives each node hit probability 2^-63, with the same
-    joint law of hits across attackers.
+    sends ``msgs`` +1 codes, the multiset ``([1], [msgs])``, under one
+    uniform 63-bit guess, which reaches ``plan.node_at(guess)``. That is
+    exact in law: the guess is independent of any provisioned tokens
+    (their generator feeds nothing else), so every injective numbering
+    of the S nodes into [0, 2^63), random or fixed, gives each node hit
+    probability 2^-63, with the same joint law of hits across attackers.
     """
     if isinstance(strategy, Impersonate):
         guess = int(rng.integers(0, 1 << 63, dtype=np.int64))
-        return [(plan.node_at(guess), np.ones(strategy.msgs, np.int64))]
+        return [(
+            plan.node_at(guess), np.ones(1, np.int64),
+            np.array([strategy.msgs], np.int64),
+        )]
     return [
         ((lp.r, plan.group_of(user_id, lp.r)),
-         strategy.payloads(plan.base, lp, x, rng))
+         *strategy.multiset(plan.base, lp, x, rng))
         for lp in plan.levels
     ]
 
@@ -105,10 +113,14 @@ def sends(strategy, user_id: int, plan: TreePlan, rng, x: int) -> list:
 def malicious_envelopes(
     strategy, user_id: int, plan: TreePlan, tokens: TokenTable, rng, x: int
 ) -> list[Envelope]:
-    """``sends`` as envelopes: each node's payloads under its token in
+    """``sends`` as envelopes: each node's multiset, expanded to its
+    payloads (``np.repeat``, codes in order), under its token in
     ``tokens``, and a send that names no node under -1, which no token
     table holds (ids lie in [0, 2^63))."""
     return [
-        Envelope(int(tokens.levels[nd[0] - 1][nd[1] - 1]) if nd else -1, p)
-        for nd, p in sends(strategy, user_id, plan, rng, x)
+        Envelope(
+            int(tokens.levels[nd[0] - 1][nd[1] - 1]) if nd else -1,
+            np.repeat(codes, counts),
+        )
+        for nd, codes, counts in sends(strategy, user_id, plan, rng, x)
     ]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StructureError
-from .protocols import BaseProtocol, PrivacyBudget
+from .protocols import BaseProtocol, PrivacyBudget, unit_counts
 # dis_to_range is unused here. It stays importable from this module only
 # because the benchmark's traced replay (bench/tracing.py) wraps
 # ``defense.dis_to_range``, until that replay stops (ROADMAP item 4 step 2).
@@ -359,8 +359,9 @@ def analyze(plan: TreePlan, shuffled: dict) -> tuple:
     """``detect`` over released multisets: the message-level analyzer.
 
     ``shuffled`` maps each (level, group) node to its released payload
-    multiset; the nodes' ``plan.base.fold`` rows, which leave out
-    malformed payloads as ``run_trial`` does, are finished in one call.
+    multiset; the nodes' ``plan.base.fold`` rows (each payload counted
+    once), which leave out malformed payloads as ``run_trial`` does, are
+    finished in one call.
     """
     nodes = plan.nodes()
     missing = [node for node in nodes if node not in shuffled]
@@ -369,6 +370,8 @@ def analyze(plan: TreePlan, shuffled: dict) -> tuple:
             f"missing shuffled multiset for node {missing[0]}"
         )
     base = plan.base
-    est = base.finish(np.stack([base.fold(shuffled[nd])[0] for nd in nodes]))
+    est = base.finish(np.stack([
+        base.fold(shuffled[nd], unit_counts(shuffled[nd]))[0] for nd in nodes
+    ]))
     sizes = [lp.num_groups for lp in plan.levels]
     return detect(plan, np.split(est, np.cumsum(sizes)[:-1]))

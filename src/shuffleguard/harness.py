@@ -166,6 +166,17 @@ class ExperimentConfig:
                 f"--attack-msgs applies only to --attack flood or "
                 f"impersonate, got --attack {self.attack}"
             )
+        if self.attack_msgs is not None:
+            # A level's attack traffic, which can all reach one node, must
+            # fit its int64 tally row with room for the honest tokens.
+            bins = self.make_query().num_bins
+            total = self.attack_msgs * self.k * bins
+            if total >= 1 << 62:
+                raise ParameterError(
+                    f"--attack-msgs {self.attack_msgs} times --k {self.k} "
+                    f"times the query's bin count {bins} is {total} "
+                    f"messages per level; it must be below 2^62"
+                )
         if self.data is None:
             for flag, value in (("--cap", self.cap), ("--col", self.col)):
                 if value is not None:
@@ -320,12 +331,14 @@ def run_trial(
     ``randomize_all``, ``submit``, ``shuffle``, ``analyze``) with one
     array per level in place of messages, which the additivity of
     ``base.fold`` allows: honest traffic is drawn as per-level tallies, a
-    corrupted user's payloads of each level are folded into its own
-    group's row, and detection runs on the finished rows. Each corrupted
-    user's traffic comes from ``adversary.sends`` by tree node, so no
-    token is drawn: payloads of a guess that names no node are rejected
-    and counted. Accepted payloads outside the protocol's alphabet are
-    left out of the fold and counted as malformed.
+    corrupted user's payload multiset of each level, ``(codes,
+    counts)``, is folded into its own group's row, and detection runs on
+    the finished rows. No message array is built, so a flood costs the
+    same at any ``--attack-msgs``. Each corrupted user's traffic comes
+    from ``adversary.sends`` by tree node, so no token is drawn: payloads
+    of a guess that names no node are rejected and counted. Accepted
+    payloads outside the protocol's alphabet are left out of the fold
+    and counted as malformed.
     """
     start = time.perf_counter()
     q = plan.query
@@ -346,11 +359,11 @@ def run_trial(
     rejected_msgs = malformed_msgs = 0
     for i in attackers:
         sent = adv.sends(strategy, i, plan, rng_adv, int(xs[i - 1]))
-        for node, payloads in sent:
+        for node, codes, counts in sent:
             if node is None:
-                rejected_msgs += int(payloads.size)
+                rejected_msgs += int(counts.sum())
                 continue
-            row, malformed = plan.base.fold(payloads)
+            row, malformed = plan.base.fold(codes, counts)
             malformed_msgs += malformed
             r, g = node
             tallies[r - 1][g - 1] += row

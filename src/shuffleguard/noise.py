@@ -9,20 +9,28 @@ carries exactly DLap(p) noise.
 
 ``nb_sample`` draws NB(r, p) as poisson(gamma(r, p/(1-p))) and makes
 the gamma draws cheaply, using three facts about numpy's ``Generator``:
-gamma(r, s) is s times standard_gamma(r); standard_gamma(1) is one
-standard exponential draw, the draw that ``standard_exponential`` fills
-with; and a call with an array of r draws element by element, in element
-order, exactly as scalar calls over the same elements do. So, for an
-array of r, a long run of r = 1 is one exponential fill, the elements
-between such runs are one per-element ``standard_gamma`` call, and the
-draws and the generator state after them are those of the one broadcast
-``gamma`` call, which costs about twice as much per element. A scalar r
-is drawn by one scalar ``gamma`` call. An r broadcast along trailing
-axes, such as the token protocols' ``(groups, 1)`` shares at size
-``(groups, bins)``, is searched for runs before it expands. The Poisson
-draw is unchanged.
-``tests/test_noise.py::test_nb_sample_is_gamma_poisson`` pins these
-facts.
+gamma(r, s) is s times standard_gamma(r), bit for bit, as numpy computes
+it as that product; standard_gamma(1) is one standard exponential draw,
+the draw that ``standard_exponential`` fills with; and a call with an
+array of r draws element by element, in element order, exactly as
+scalar calls over the same elements do. So, for an array of r, a long
+run of r = 1 is one exponential fill, the elements between such runs
+are one per-element ``standard_gamma`` call, and the draws and the
+generator state after them are those of the one broadcast ``gamma``
+call, which costs about twice as much per element. A scalar r is one
+``standard_gamma`` fill, then times the scale. An r broadcast along
+trailing axes, such as the token protocols' ``(groups, 1)`` shares at
+size ``(groups, bins)``, is searched for runs before it expands. The
+Poisson draw is unchanged.
+
+Given an int64 ``out``, ``nb_sample`` draws in place, as numpy's ``out=``
+arguments do: the gamma means go into ``out``'s own memory viewed as
+float64, and the Poisson draws then overwrite them ``BLOCK`` elements at
+a time, in element order. Both steps draw what the allocating call
+draws, so a caller that reuses its buffers across calls, as the sum
+tally does, touches no fresh memory per call.
+``tests/test_noise.py::test_nb_sample_is_gamma_poisson`` and
+``test_nb_sample_out_is_the_allocating_draw`` pin these facts.
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ from .errors import ParameterError
 #: Runs of r = 1 shorter than this are drawn with their neighbours, in one
 #: per-element gamma call, rather than by one exponential fill each.
 MIN_RUN = 64
+
+#: Poisson draws per call when ``nb_sample`` draws into ``out``: each
+#: block's draws are one small temporary, not a whole-size array.
+BLOCK = 8192
 
 
 def noise_base(epsilon_eff: float, sensitivity: int) -> float:
@@ -114,7 +126,9 @@ def _standard_gamma(
             )
 
 
-def nb_sample(r, p: float, rng: np.random.Generator, size=None) -> np.ndarray:
+def nb_sample(
+    r, p: float, rng: np.random.Generator, size=None, out=None
+) -> np.ndarray:
     """Negative binomial NB(r, p) with pmf proportional to C(k+r-1, k)(1-p)^r p^k.
 
     Sampled as a Gamma-Poisson mixture so that fractional r (= 1/m noise
@@ -123,6 +137,10 @@ def nb_sample(r, p: float, rng: np.random.Generator, size=None) -> np.ndarray:
     with mean p/(1-p). The draws are an int64 array of shape ``size``,
     or of the shape of ``r`` when ``size`` is None.
 
+    With ``out``, a C-contiguous int64 array, the draws are written into
+    it and it is returned; its shape is the size, so ``size`` must be
+    None. No array of its size is allocated.
+
     The draws and the generator state after them are exactly those of
     ``rng.poisson(rng.gamma(r, p/(1-p), size))``, the sampler's
     definition, but made the cheaper way the module docstring describes;
@@ -130,19 +148,26 @@ def nb_sample(r, p: float, rng: np.random.Generator, size=None) -> np.ndarray:
     """
     if np.any(np.asarray(r) < 0):
         raise ParameterError("r must be nonnegative")
+    if out is not None:
+        if size is not None:
+            raise ParameterError("give size or out, not both")
+        if out.dtype != np.int64 or not out.flags.c_contiguous:
+            raise ParameterError("out must be a C-contiguous int64 array")
+        size = out.shape
     if p <= 0.0:
-        return np.zeros(np.shape(r) if size is None else size, dtype=np.int64)
+        if out is None:
+            return np.zeros(np.shape(r) if size is None else size, np.int64)
+        out.fill(0)
+        return out
     scale = p / (1.0 - p)
-    if np.ndim(r) == 0:
-        # One r is one run, drawn with no search for runs: searching a
-        # broadcast scalar made flat-sum-flood (sum's per-user shares,
-        # 16 calls of 65,536 draws per trial) about 4% slower.
-        lam = rng.gamma(r, scale, size)
+    if out is None:
+        lam = np.empty(np.shape(r) if size is None else size)
     else:
-        r = np.broadcast_to(
-            np.asarray(r, dtype=float), np.shape(r) if size is None else size
-        )
-        lam = np.empty(r.shape)
+        lam = out.view(np.float64)
+    if np.ndim(r) == 0:
+        rng.standard_gamma(r, out=lam)
+    else:
+        r = np.broadcast_to(np.asarray(r, dtype=float), lam.shape)
         # Trailing broadcast axes repeat each r in place: the run search
         # reads the r before they expand it, a bin-fold smaller for the
         # token protocols' (groups, bins) view of per-group shares.
@@ -151,5 +176,12 @@ def nb_sample(r, p: float, rng: np.random.Generator, size=None) -> np.ndarray:
             reps *= r.shape[-1]
             r = r[..., 0]
         _standard_gamma(r.reshape(-1), reps, rng, lam.reshape(-1))
-        lam *= scale
-    return np.asarray(rng.poisson(lam), dtype=np.int64)
+    lam *= scale
+    if out is None:
+        return np.asarray(rng.poisson(lam), dtype=np.int64)
+    # Each block of means is read by its Poisson call before its draws
+    # overwrite it.
+    draws, means = out.reshape(-1), lam.reshape(-1)
+    for s in range(0, means.size, BLOCK):
+        draws[s : s + BLOCK] = rng.poisson(means[s : s + BLOCK])
+    return out

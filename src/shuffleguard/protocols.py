@@ -25,11 +25,17 @@ below draw each group's honest noise total in one shot as NB(h/m, p),
 where h is the number of honest contributors; this is distributionally
 identical to h independent per-user draws.
 
-Each protocol has one ``fold``: any payloads to an additive int64
-``(bins,)`` row (a signed per-bin tally, or a residue sum mod q) of those
-in the alphabet, plus the count of the others. It is symmetric, so
-message order carries nothing. ``finish`` turns rows into estimates (it
-centers sums mod q); ``analyze``, ``finish`` of one fold, is strict.
+Each protocol has one ``fold``: any payload multiset ``(codes, counts)``
+to an additive int64 ``(bins,)`` row (a signed per-bin tally, or a
+residue sum mod q) of the codes in the alphabet, each weighted by its
+count, plus the total count of the others. It is the fold of the
+multiset's messages, ``np.repeat(codes, counts)``, made without them,
+so an adversary's flood of any size is a few codes with large counts;
+a message array is folded with ``unit_counts``. The sum fold is exact
+in wrapping uint64 (q divides 2^64), the token fold sums counts in
+int64. It is symmetric, so message order carries nothing. ``finish``
+turns rows into estimates (it centers sums mod q); ``analyze``,
+``finish`` of one fold, is strict.
 A level is drawn once, from its values ``xs``, its group size m and
 the bool mask ``honest`` of the users who randomize (groups are
 contiguous runs of m users), and then takes one of two forms:
@@ -45,6 +51,10 @@ contiguous runs of m users), and then takes one of two forms:
     are added to its positive noise in place, after its noise is drawn.
     The sum tally sums each group's totals and never draws the share
     residues: it advances the generator past them (``_skip_integers``).
+    Every level of it covers the same honest users, so it gathers their
+    inputs once and draws every level's positive and negative shares
+    into the same two buffers (``nb_sample``'s ``out=``), allocating no
+    per-user array per level.
   - ``randomize_level``: the same draw as one payload array per group, for
     the message-level path, which the tests and the benchmark's traced
     replay keep as an oracle. The token protocols list each group's codes
@@ -106,6 +116,12 @@ def _emit_codes(counts: np.ndarray) -> tuple[list[np.ndarray], int]:
     )
     groups = np.split(payloads, np.cumsum(counts.sum(axis=1))[:-1])
     return groups, int(payloads.size)
+
+
+def unit_counts(payloads: np.ndarray) -> np.ndarray:
+    """A count of one per payload, as a read-only zero-stride view: the
+    counts of a message array passed to ``fold`` as a multiset."""
+    return np.broadcast_to(np.int64(1), payloads.shape)
 
 
 def _by_group(honest: np.ndarray, m: int) -> np.ndarray:
@@ -219,9 +235,14 @@ class BaseProtocol:
 
     # -- analysis ----------------------------------------------------------
 
-    def fold(self, payloads: np.ndarray) -> tuple[np.ndarray, int]:
-        """The additive int64 ``(bins,)`` row of the payloads in the
-        alphabet, plus how many payloads fall outside it."""
+    def fold(
+        self, codes: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """The additive int64 ``(bins,)`` row of a payload multiset, each
+        of ``codes`` taken ``counts`` times, from the codes in the
+        alphabet, plus how many payloads fall outside it. ``codes`` and
+        ``counts`` are int64 arrays of one length, counts >= 0. It equals
+        the fold of ``np.repeat(codes, counts)`` with unit counts."""
         raise NotImplementedError
 
     def finish(self, tally: np.ndarray) -> np.ndarray:
@@ -232,7 +253,7 @@ class BaseProtocol:
     def analyze(self, payloads: np.ndarray) -> QueryValue:
         """The estimate of one multiset (an int for count and sum); raises
         on any payload outside the alphabet."""
-        row, malformed = self.fold(payloads)
+        row, malformed = self.fold(payloads, unit_counts(payloads))
         if malformed:
             raise ProtocolError(f"{malformed} payloads outside the alphabet")
         est = self.finish(row)
@@ -268,22 +289,24 @@ class SumProtocol(BaseProtocol):
             3, (4 * max(1, n) * max(1, query.domain_size)).bit_length()
         )
 
-    def _draw(self, xs, epsilon, m, rng, honest):
-        """A level's draw: each honest user's total (input plus noise
-        share, mod q) and the honest users per group. Groups are
-        contiguous."""
-        hcount = _by_group(honest, m).sum(axis=1)
+    def _draw(self, xh, epsilon, m, rng, pos, neg):
+        """A level's per-user totals, each honest user's input (``xh``)
+        plus its noise share, mod q, drawn into ``pos``, which is
+        returned. ``pos`` and ``neg`` are int64 buffers of one element
+        per honest user; ``neg`` is left holding the negative shares."""
         p = noise_base(epsilon, self.query.domain_size)
-        size = int(hcount.sum())
-        # Built in place: each array here holds one int64 per honest user.
-        totals = nb_sample(1.0 / m, p, rng, size=size)
-        totals -= nb_sample(1.0 / m, p, rng, size=size)
-        totals += xs[honest]
-        totals &= self.modulus - 1  # q is a power of two: this is mod q
-        return totals, hcount
+        nb_sample(1.0 / m, p, rng, out=pos)
+        pos -= nb_sample(1.0 / m, p, rng, out=neg)
+        pos += xh
+        pos &= self.modulus - 1  # q is a power of two: this is mod q
+        return pos
 
     def randomize_level(self, xs, epsilon, m, rng, honest):
-        totals, hcount = self._draw(xs, epsilon, m, rng, honest)
+        hcount = _by_group(honest, m).sum(axis=1)
+        xh = xs[honest]
+        totals = self._draw(
+            xh, epsilon, m, rng, *np.empty((2, xh.size), np.int64)
+        )
         # Uniform residues split each total into shares; the last share
         # makes each user's shares sum to its total mod q.
         parts = rng.integers(0, self.modulus, size=(totals.size, self.shares))
@@ -292,25 +315,33 @@ class SumProtocol(BaseProtocol):
         groups = np.split(payloads, np.cumsum(hcount * self.shares)[:-1])
         return groups, int(payloads.size)
 
-    def _sums(self, xs, epsilon, m, rng, honest):
-        """One level's ``(groups, 1)`` tally and message count. A call per
-        level frees its per-user arrays before the next level's draw."""
-        totals, hcount = self._draw(xs, epsilon, m, rng, honest)
-        msgs = int(totals.size) * self.shares
-        # The residues leave no trace in the sums below, so they are
-        # skipped, not drawn.
-        _skip_integers(rng, self.modulus, msgs)
-        # A user's shares sum to its total mod q, so a group's residue sum
-        # is, mod q, the sum of its users' totals: exact int64 group sums.
-        sums = np.zeros(hcount.size, dtype=np.int64)
-        nonempty = hcount > 0
-        starts = (np.cumsum(hcount) - hcount)[nonempty]
-        sums[nonempty] = np.add.reduceat(totals, starts)
-        return sums[:, None], msgs
-
     def tally_levels(self, xs, levels, rng, honest):
-        drawn = [self._sums(xs, eps, m, rng, honest) for eps, m in levels]
-        return [tally for tally, _ in drawn], sum(msgs for _, msgs in drawn)
+        # Every level covers the same honest users, so their inputs are
+        # gathered once and every level draws into the same two buffers.
+        # The buffers are the rows of one block: once freed, it raises
+        # glibc's heap trim threshold above what a call holds, so the next
+        # call reuses the heap without faulting it in again (5 minor
+        # faults per flat-sum-flood trial, against about 350 with two
+        # separate buffers).
+        xh = xs[honest]
+        pos, neg = np.empty((2, xh.size), np.int64)
+        msgs = xh.size * self.shares  # per level
+        tallies = []
+        for epsilon, m in levels:
+            hcount = _by_group(honest, m).sum(axis=1)
+            totals = self._draw(xh, epsilon, m, rng, pos, neg)
+            # The residues leave no trace in the sums below, so they are
+            # skipped, not drawn.
+            _skip_integers(rng, self.modulus, msgs)
+            # A user's shares sum to its total mod q, so a group's residue
+            # sum is, mod q, the sum of its users' totals: exact int64
+            # group sums.
+            sums = np.zeros(hcount.size, dtype=np.int64)
+            nonempty = hcount > 0
+            starts = (np.cumsum(hcount) - hcount)[nonempty]
+            sums[nonempty] = np.add.reduceat(totals, starts)
+            tallies.append(sums[:, None])
+        return tallies, msgs * len(levels)
 
     def finish(self, tally):
         """Each residue sum mod q, centered into (-q/2, q/2]."""
@@ -318,14 +349,20 @@ class SumProtocol(BaseProtocol):
         t = tally % q
         return t - q * (t > q // 2)
 
-    def fold(self, payloads):
-        """The residue sum mod q of the payloads in [0, q)."""
-        q = self.modulus
+    def fold(self, codes, counts):
+        """The residue sum mod q of the codes in [0, q), each taken
+        ``counts`` times: sum(code * count) in wrapping uint64, which is
+        exact mod q as q divides 2^64."""
         # As unsigned, a negative code lies above q: one compare.
-        ok = payloads.view(np.uint64) < q
-        bad = ok.size - np.count_nonzero(ok)
-        total = payloads.sum(where=ok) if bad else payloads.sum()
-        return np.array([total % q], dtype=np.int64), bad
+        codes = codes.view(np.uint64)
+        counts = counts.view(np.uint64)
+        ok = codes < self.modulus
+        total = (codes * counts).sum(where=ok)
+        bad = counts.sum(where=~ok)
+        return (
+            np.array([total & np.uint64(self.modulus - 1)], dtype=np.int64),
+            int(bad),
+        )
 
     def error_bound(self, epsilon, beta):
         return dlap_threshold(epsilon, self.query.domain_size, beta)
@@ -405,14 +442,16 @@ class _TokenProtocol(BaseProtocol):
             tallies.append(tally)
         return tallies, count
 
-    def fold(self, payloads):
+    def fold(self, codes, counts):
         # Code c lands in slot c + bins + 1. Slots 0, bins + 1 and
         # 2*bins + 2 collect the codes outside the alphabet: those below
-        # -bins, zero, and those above bins.
+        # -bins, zero, and those above bins. Counts add in int64, exact
+        # where bincount's float64 weights would round.
         b = self.bins
-        slots = np.clip(payloads, -b - 1, b + 1)
+        slots = np.clip(codes, -b - 1, b + 1)
         slots += b + 1
-        t = np.bincount(slots, minlength=2 * b + 3)
+        t = np.zeros(2 * b + 3, dtype=np.int64)
+        np.add.at(t, slots, counts)
         return t[b + 2 : 2 * b + 2] - t[b:0:-1], int(t[0] + t[b + 1] + t[-1])
 
     def error_bound(self, epsilon, beta):

@@ -92,7 +92,8 @@ class TestFlooding:
             Flood(msgs=2), 1, plan, tokens, np.random.default_rng(1), x=0
         )
         for e in envs:
-            np.testing.assert_array_equal(e.payloads, [1, 2, 3, 1, 2, 3])
+            # Each top code repeated, in code order.
+            np.testing.assert_array_equal(e.payloads, [1, 1, 2, 2, 3, 3])
 
 
 class TestOtherStrategies:

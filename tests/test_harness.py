@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -221,7 +222,7 @@ class TestRunTrial:
         plan = build_plan(cfg)
         calls = []
         fold = plan.base.fold
-        plan.base.fold = lambda payloads: calls.append(1) or fold(payloads)
+        plan.base.fold = lambda *multiset: calls.append(1) or fold(*multiset)
         run_trial(cfg, 0, plan, experiment_dataset(cfg))
         accepted = {"none": 0, "impersonate": 0}.get(attack, len(plan.levels))
         assert len(calls) == accepted
@@ -262,8 +263,12 @@ class TestRunTrial:
             junk = np.array([0, base.bins + 1, -base.bins - 1, 1 << 40])
 
         class FloodWithJunk(Flood):
-            def payloads(self, base, lp, x, rng):
-                return np.concatenate([super().payloads(base, lp, x, rng), junk])
+            def multiset(self, base, lp, x, rng):
+                codes, counts = super().multiset(base, lp, x, rng)
+                return (
+                    np.concatenate([codes, junk]),
+                    np.concatenate([counts, np.ones(junk.size, np.int64)]),
+                )
 
         harness_detect = harness.detect
         estimates = []
@@ -306,6 +311,26 @@ class TestRunTrial:
         assert run_experiment(cfg).rejected_msgs == 37
         clean = ExperimentConfig(query="count", protocol="hsdp", n=64, trials=4)
         assert run_experiment(clean).rejected_msgs == 0
+
+    def test_flood_memory_does_not_grow_with_attack_msgs(self):
+        # A flood is its top codes with one count each, never an array of
+        # its messages: 2^40 messages per bin and level cost what 2^10 do.
+        peaks, detected = [], []
+        for msgs in (1 << 10, 1 << 40):
+            cfg = ExperimentConfig(
+                query="range", u=15, protocol="hsdp", n=64, k=1,
+                attack="flood", attack_msgs=msgs, trials=1, seed=3,
+            )
+            plan, ds = build_plan(cfg), experiment_dataset(cfg)
+            tracemalloc.start()
+            try:
+                result = run_trial(cfg, 0, plan, ds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            detected.append(result.detected)
+        assert peaks[1] <= 2 * peaks[0]
+        assert detected[1]
 
 
 class TestSweepAndEmit:
@@ -625,6 +650,52 @@ class TestCli:
         assert err.startswith("error: ") and needle in err
         assert len(err.splitlines()) == 1
         assert {p.name for p in tmp_path.iterdir()} <= {"c.json"}
+
+    @pytest.mark.parametrize(
+        "query,u,k,attack,msgs,refused",
+        [
+            ("count", 1, 1, "flood", (1 << 62) - 1, False),
+            ("count", 1, 1, "flood", 1 << 62, True),
+            ("count", 1, 1, "impersonate", 1 << 62, True),
+            ("sum", 255, 1, "flood", 1 << 62, True),
+            # range U = 15 has 31 bins
+            ("range", 15, 1, "flood", (1 << 62) // 31, False),
+            ("range", 15, 1, "flood", (1 << 62) // 31 + 1, True),
+            # every corrupted user's flood reaches the root
+            ("hist", 3, 1, "flood", 1 << 59, False),
+            ("hist", 3, 2, "flood", 1 << 59, True),
+        ],
+    )
+    def test_attack_msgs_that_could_overflow_a_level_is_refused(
+        self, query, u, k, attack, msgs, refused, capsys, monkeypatch
+    ):
+        # A level's attack traffic, --attack-msgs per bin from each of
+        # the k corrupted users, must stay below 2^62 so that its int64
+        # tally rows cannot overflow. It is refused at ingress, naming
+        # the flag, before any trial.
+        from shuffleguard import cli
+
+        def no_experiment(*args, **kwargs):
+            raise AssertionError("an experiment started on bad input")
+
+        monkeypatch.setattr(cli, "run_experiment", no_experiment)
+        fields = dict(
+            query=query, u=u, protocol="hsdp", n=64, k=k, attack=attack,
+            attack_msgs=msgs,
+        )
+        if not refused:
+            ExperimentConfig(**fields)
+            return
+        with pytest.raises(ParameterError, match="--attack-msgs"):
+            ExperimentConfig(**fields)
+        rc = cli.main([
+            "run", *(f"--{f.replace('_', '-')}={v}" for f, v in fields.items())
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --attack-msgs {msgs} times --k {k} ")
+        assert "must be below 2^62" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,6 +10,7 @@ from scipy import stats
 
 from shuffleguard.errors import ParameterError
 from shuffleguard.noise import (
+    BLOCK,
     MIN_RUN,
     dlap_tail,
     dlap_threshold,
@@ -183,6 +184,44 @@ def test_nb_sample_column_of_shares_is_its_repeat(runs, bins, p, seed):
     assert got.shape == (g, bins)
     np.testing.assert_array_equal(got, want)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [0.0, math.exp(-1.0 / 255), 0.99])
+@pytest.mark.parametrize("size", [0, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("shares", ["scalar", "column"])
+@pytest.mark.parametrize("r", [0.0, 1.0 / 128, 0.5, 1.0, 3.7])
+def test_nb_sample_out_is_the_allocating_draw(r, shares, size, p):
+    # Drawn into a reused buffer, in place and Poisson block by block,
+    # the draws and the generator state after them are those of the
+    # sampler's definition and of the allocating call. The buffer starts
+    # full of garbage, and the call returns it.
+    rngs = [np.random.default_rng(size) for _ in range(3)]
+    if shares == "scalar":
+        r_arg, shape = r, (size,)
+    else:
+        # The token protocols' (groups, 1) column of shares, with runs of
+        # r = 1 and of other r, drawn at size (groups, 3).
+        r_arg = np.where(np.arange(size // 3) % 500 < 250, 1.0, r)[:, None]
+        shape = (size // 3, 3)
+    want = gamma_poisson(r_arg, p, rngs[0], size=shape) if p else np.zeros(shape)
+    alloc = nb_sample(r_arg, p, rngs[1], size=shape)
+    out = np.full(shape, -7, dtype=np.int64)
+    got = nb_sample(r_arg, p, rngs[2], out=out)
+    assert got is out
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(alloc, want)
+    if p:
+        assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+    assert rngs[1].bit_generator.state == rngs[2].bit_generator.state
+
+
+def test_nb_sample_out_must_be_int64_c_contiguous():
+    rng = np.random.default_rng(0)
+    for out in (np.empty(4), np.empty((4, 2), np.int64)[:, 0]):
+        with pytest.raises(ParameterError, match="out must be"):
+            nb_sample(0.5, 0.5, rng, out=out)
+    with pytest.raises(ParameterError, match="size or out, not both"):
+        nb_sample(0.5, 0.5, rng, size=4, out=np.empty(4, np.int64))
 
 
 @pytest.mark.parametrize("size", [0, 1, 2 * MIN_RUN + 1, 10_000])

@@ -17,6 +17,7 @@ from shuffleguard.protocols import (
     PrivacyBudget,
     _skip_integers,
     make_base,
+    unit_counts,
 )
 from shuffleguard.queries import Query, QueryKind, bins_of, eval_query
 
@@ -188,7 +189,7 @@ class TestHist:
         # strict analyzer refuses them.
         proto = hist_proto(u=1)
         payloads = np.asarray([1, 5, -9])
-        row, malformed = proto.fold(payloads)
+        row, malformed = proto.fold(payloads, unit_counts(payloads))
         np.testing.assert_array_equal(row, [1, 0])
         assert malformed == 2
         with pytest.raises(ProtocolError):
@@ -266,8 +267,10 @@ def test_analyze_ignores_order(proto, codes, data):
     # because every analyzer is a symmetric fold over the multiset.
     payloads = data.draw(st.lists(codes(proto), max_size=40))
     shuffled = data.draw(st.permutations(payloads))
-    row, malformed = proto.fold(np.asarray(shuffled, dtype=np.int64))
-    want_row, want_malformed = proto.fold(np.asarray(payloads, dtype=np.int64))
+    shuffled = np.asarray(shuffled, dtype=np.int64)
+    payloads = np.asarray(payloads, dtype=np.int64)
+    row, malformed = proto.fold(shuffled, unit_counts(shuffled))
+    want_row, want_malformed = proto.fold(payloads, unit_counts(payloads))
     np.testing.assert_array_equal(row, want_row)
     assert malformed == want_malformed
 
@@ -309,8 +312,9 @@ def test_fold_leaves_out_and_counts_malformed(proto, data):
         dtype=np.int64,
     )
     ok = _in_alphabet(proto, payloads)
-    row, malformed = proto.fold(payloads)
-    want_row, kept_malformed = proto.fold(payloads[ok])
+    row, malformed = proto.fold(payloads, unit_counts(payloads))
+    kept = payloads[ok]
+    want_row, kept_malformed = proto.fold(kept, unit_counts(kept))
     assert row.dtype == np.int64 and row.shape == (proto.query.num_bins,)
     np.testing.assert_array_equal(row, want_row)
     assert kept_malformed == 0
@@ -320,6 +324,92 @@ def test_fold_leaves_out_and_counts_malformed(proto, data):
             proto.analyze(payloads)
     else:
         np.testing.assert_array_equal(proto.analyze(payloads), proto.finish(row))
+
+
+@pytest.mark.parametrize(
+    "proto",
+    [count_proto(), sum_proto(), hist_proto(), range_proto()],
+    ids=["count", "sum", "hist", "range"],
+)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fold_of_a_multiset_is_the_fold_of_its_repeat(proto, data):
+    # A payload multiset (codes, counts), zero counts and codes outside
+    # the alphabet included, folds as its messages do, each counted once.
+    pairs = data.draw(st.lists(
+        st.tuples(_edge_of_alphabet(proto), st.integers(0, 5)), max_size=20
+    ))
+    codes = np.array([c for c, _ in pairs], dtype=np.int64)
+    counts = np.array([k for _, k in pairs], dtype=np.int64)
+    row, malformed = proto.fold(codes, counts)
+    msgs = np.repeat(codes, counts)
+    want_row, want_malformed = proto.fold(msgs, unit_counts(msgs))
+    assert row.dtype == np.int64 and row.shape == (proto.query.num_bins,)
+    np.testing.assert_array_equal(row, want_row)
+    assert malformed == want_malformed
+
+
+@pytest.mark.parametrize(
+    "proto",
+    [count_proto(), sum_proto(), hist_proto(), range_proto()],
+    ids=["count", "sum", "hist", "range"],
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fold_of_large_counts_is_exact(proto, data):
+    # Counts too large to repeat, summing to under 2^62, against the
+    # fold written out in Python integers.
+    pairs = data.draw(st.lists(
+        st.tuples(
+            _edge_of_alphabet(proto),
+            st.one_of(st.integers(0, (1 << 62) // 20), st.just(1 << 40)),
+        ),
+        max_size=20,
+    ))
+    codes = np.array([c for c, _ in pairs], dtype=np.int64)
+    counts = np.array([k for _, k in pairs], dtype=np.int64)
+    ok = _in_alphabet(proto, codes)
+    want_malformed = sum(k for (_, k), good in zip(pairs, ok) if not good)
+    if isinstance(proto, SumProtocol):
+        total = sum(c * k for (c, k), good in zip(pairs, ok) if good)
+        want_row = [total % proto.modulus]
+    else:
+        want_row = [0] * proto.bins
+        for (c, k), good in zip(pairs, ok):
+            if good:
+                want_row[abs(c) - 1] += k if c > 0 else -k
+    row, malformed = proto.fold(codes, counts)
+    assert row.tolist() == want_row
+    assert malformed == want_malformed
+
+
+def test_sum_tally_levels_draw_into_two_buffers(monkeypatch):
+    # Every level of the sum tally covers the same honest users, so every
+    # level's positive and negative shares are drawn into the same two
+    # buffers: no per-user array is allocated per level.
+    from shuffleguard import protocols
+
+    outs = []
+    draw = protocols.nb_sample
+
+    def spy(*args, **kwargs):
+        outs.append(kwargs.get("out"))
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "nb_sample", spy)
+    n = 4096
+    proto = sum_proto(u=255, n=n)
+    xs = np.arange(n, dtype=np.int64) % 256
+    honest = np.arange(n) % 7 > 0
+    levels = [(1.0, 64), (0.5, 128), (2.0, 1024), (1.0, n)]
+    proto.tally_levels(xs, levels, np.random.default_rng(0), honest)
+    assert len(outs) == 2 * len(levels)
+    pos, neg = outs[:2]
+    assert pos is not None and neg is not None
+    assert all(out is pos for out in outs[0::2])
+    assert all(out is neg for out in outs[1::2])
+    assert pos.size == neg.size == honest.sum()
+    assert not np.shares_memory(pos, neg)
 
 
 @pytest.mark.parametrize(
@@ -405,7 +495,7 @@ def test_sum_tally_exact_at_largest_modulus():
     # Fold a residue-heavy envelope into group 0 the way run_trial does:
     # its fold row is added to the row.
     envelope = np.full(5000, q - 1, dtype=np.int64)
-    tally[0] += proto.fold(envelope)[0]
+    tally[0] += proto.fold(envelope, unit_counts(envelope))[0]
     payloads[0] = np.concatenate([payloads[0], envelope])
     assert proto.finish(tally)[:, 0].tolist() == [
         proto.analyze(p) for p in payloads
@@ -493,16 +583,14 @@ def test_sum_fold_counts_codes_outside_zero_to_q_malformed(code):
     proto = sum_proto(u=255, n=1 << 16)
     q = proto.modulus
     code = q if code == "q" else code
-    row, malformed = proto.fold(np.array([5, code, q - 1, code], dtype=np.int64))
+    payloads = np.array([5, code, q - 1, code], dtype=np.int64)
+    row, malformed = proto.fold(payloads, unit_counts(payloads))
     assert row.tolist() == [4] and malformed == 2
-    # A flood is one code broadcast read-only, as Flood sends it.
-    flood = np.broadcast_to(np.array([code], dtype=np.int64), (1 << 16, 1))
-    flood = flood.reshape(-1)
-    assert not flood.flags.writeable
-    row, malformed = proto.fold(flood)
+    # A flood is one code with a count, as Flood sends it.
+    flood = np.array([1 << 16], dtype=np.int64)
+    row, malformed = proto.fold(np.array([code], dtype=np.int64), flood)
     assert row.tolist() == [0] and malformed == 1 << 16
-    top = np.broadcast_to(proto.top, (1 << 16, 1)).reshape(-1)
-    row, malformed = proto.fold(top)
+    row, malformed = proto.fold(proto.top, flood)
     assert row.tolist() == [(255 << 16) % q] and malformed == 0
 
 
