@@ -18,8 +18,7 @@ can only guess that group's token.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,8 +44,8 @@ class DropNoise:
     """Participate with data tokens only, contributing zero noise shares."""
 
     def multiset(self, base: BaseProtocol, lp: LevelPlan, x: int, rng):
-        # At epsilon = inf the randomizer adds no noise tokens.
-        codes = base.randomize(x, math.inf, 1, rng)
+        # At p = 0, in a group of one, the randomizer adds no noise.
+        codes = base.randomize(x, replace(lp, p=0.0, group_size=1), rng)
         return codes, unit_counts(codes)
 
 
@@ -55,9 +54,7 @@ class AlterInput:
     """Run the honest randomizer on a forged input: the domain's largest."""
 
     def multiset(self, base: BaseProtocol, lp: LevelPlan, x: int, rng):
-        codes = base.randomize(
-            base.query.max_input, lp.budget.epsilon, lp.group_size, rng
-        )
+        codes = base.randomize(base.query.max_input, lp, rng)
         return codes, unit_counts(codes)
 
 

@@ -56,13 +56,15 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class LevelPlan:
-    """Parameters of one hierarchy level (r is 1-based, bottom first)."""
+    """Parameters of one hierarchy level (r is 1-based, bottom first);
+    ``p`` is the DLap parameter of each group's noise."""
 
     r: int
     group_size: int
     num_groups: int
     budget: PrivacyBudget
     theta: int
+    p: float
 
 
 @dataclass(frozen=True)
@@ -167,8 +169,10 @@ def make_plan(
     A one-level plan spends the whole budget, and its groups split beta
     evenly. Otherwise level i spends ``share(epsilon, i)`` and
     ``share(delta, i)``; the top level takes beta/2, and each lower node
-    beta / (2 * the number of lower nodes). Level i's threshold theta is
-    ``base.error_bound(epsilon_i, beta_i)``.
+    beta / (2 * the number of lower nodes). Level i's noise parameter p
+    and threshold theta are ``base.law(epsilon_i, beta_i)``, the one
+    place a level's budget becomes its noise: p is stored on the level,
+    and the samplers read it there.
 
     Neighbours are replace-one: two datasets of n users that differ in
     one user's value. Each level's noise is calibrated to epsilon_i for
@@ -254,9 +258,10 @@ def make_plan(
                 share(total.epsilon, i), share(total.delta, i),
                 total.beta / 2 if i == top else total.beta / (2 * lower),
             )
+        p, theta = base.law(budget.epsilon, budget.beta)
         levels.append(LevelPlan(
             r=i + 1, group_size=m, num_groups=n // m, budget=budget,
-            theta=base.error_bound(budget.epsilon, budget.beta),
+            theta=theta, p=p,
         ))
     return TreePlan(variant, base, n, lam, k_hat, total, tuple(levels))
 
@@ -276,10 +281,7 @@ def tally_all(
     ``BaseProtocol.tally_levels``, which draws the plan's levels in one
     call; no payload is materialized.
     """
-    return plan.base.tally_levels(
-        xs, [(lp.budget.epsilon, lp.group_size) for lp in plan.levels],
-        rng, honest,
-    )
+    return plan.base.tally_levels(xs, plan.levels, rng, honest)
 
 
 def randomize_all(
@@ -290,9 +292,7 @@ def randomize_all(
     envelopes = []
     total = 0
     for lp, ids in zip(plan.levels, tokens.levels):
-        groups, count = plan.base.randomize_level(
-            xs, lp.budget.epsilon, lp.group_size, rng, honest
-        )
+        groups, count = plan.base.randomize_level(xs, lp, rng, honest)
         total += count
         envelopes.extend(map(Envelope, ids.tolist(), groups))
     return envelopes, total

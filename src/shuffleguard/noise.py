@@ -72,7 +72,7 @@ def dlap_tail(t: int, p: float) -> float:
     return 2.0 * p**t / (1.0 + p)
 
 
-def dlap_threshold(epsilon_eff: float, sensitivity: int, beta: float) -> int:
+def dlap_threshold(p: float, beta: float) -> int:
     """Smallest integer t >= 1 with Pr[|DLap(p)| >= t] <= beta.
 
     This exact tail quantile serves as the high-probability error bound of
@@ -80,7 +80,8 @@ def dlap_threshold(epsilon_eff: float, sensitivity: int, beta: float) -> int:
     """
     if not 0 < beta < 1:
         raise ParameterError("beta must be in (0, 1)")
-    p = noise_base(epsilon_eff, sensitivity)
+    if not 0.0 <= p < 1.0:
+        raise ParameterError("p must be in [0, 1)")
     if p == 0.0:  # noiseless limit: |Z| >= 1 has probability zero
         return 1
     # 2 p^t / (1+p) <= beta  <=>  t >= log(beta (1+p) / 2) / log(p)

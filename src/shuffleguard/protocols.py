@@ -36,19 +36,20 @@ in wrapping uint64 (q divides 2^64), the token fold sums counts in
 int64. It is symmetric, so message order carries nothing. ``finish``
 turns rows into estimates (it centers sums mod q); ``analyze``,
 ``finish`` of one fold, is strict.
-A level is drawn once, from its values ``xs``, its group size m and
-the bool mask ``honest`` of the users who randomize (groups are
-contiguous runs of m users), and then takes one of two forms:
+A level is drawn once, from its values ``xs``, its ``defense.LevelPlan``
+``lp`` (the group size m and the noise parameter p) and the bool mask
+``honest`` of the users who randomize (groups are contiguous runs of m
+users), and then takes one of two forms:
 
-  - ``tally_level``: the level's ``(groups, bins)`` tally, whose row g
+  - ``tally_levels``: each level's ``(groups, bins)`` tally, whose row g
     finishes as the fold of group g's payloads does, plus the exact
-    honest message count. No payload is materialized; envelopes' fold
-    rows add to its rows. It is the one-level case of ``tally_levels``,
-    which draws a whole tree's levels, bottom first, in one call. The
-    token protocols take the bottom level's data-token rows from one
-    ``bins_of`` over all users less the corrupted users' units, and each
-    level above sums them from its children's rows; each level's rows
-    are added to its positive noise in place, after its noise is drawn.
+    honest message count, for a whole tree's levels, bottom first, in
+    one call. No payload is materialized; envelopes' fold rows add to
+    its rows. The token protocols take the bottom level's data-token
+    rows from one ``bins_of`` over all users less the corrupted users'
+    units, and each level above sums them from its children's rows;
+    each level's rows are added to its positive noise in place, after
+    its noise is drawn.
     The sum tally sums each group's totals and never draws the share
     residues: it advances the generator past them (``_skip_integers``).
     Every level of it covers the same honest users, so it gathers their
@@ -64,11 +65,14 @@ contiguous runs of m users), and then takes one of two forms:
 Both leave the generator in the same state, so they describe the same
 trial.
 
-There is no separate noiseless encoder: ``randomize`` at epsilon = inf
-draws no noise (p = 0) and returns exactly the user's data payload.
+There is no separate noiseless encoder: ``randomize`` at a level with
+p = 0 and m = 1 draws no noise and returns exactly the user's data
+payload.
 
-The matching ``error_bound`` is the exact DLap tail quantile and doubles as
-the defense layer's detection threshold.
+``law`` is each protocol's one conversion of a level's budget to its
+noise: the DLap parameter p, which ``make_plan`` stores on the level,
+and the exact DLap tail quantile at that p, which doubles as the defense
+layer's detection threshold.
 """
 
 from __future__ import annotations
@@ -173,31 +177,32 @@ class BaseProtocol:
 
     # -- randomization -----------------------------------------------------
 
-    def randomize(self, x: int, epsilon: float, m: int, rng) -> np.ndarray:
-        """One user's payload codes at budget epsilon in a group of size m:
-        the level draw of one group of m users in which only user 0, who
-        holds x, is honest."""
+    def randomize(self, x: int, lp, rng) -> np.ndarray:
+        """One user's payload codes at level ``lp``: the level draw of one
+        group of ``lp.group_size`` users in which only user 0, who holds
+        x, is honest."""
+        m = lp.group_size
         xs = np.zeros(m, dtype=np.int64)
         xs[0] = x
         honest = np.arange(m) == 0
-        groups, _ = self.randomize_level(xs, epsilon, m, rng, honest)
+        groups, _ = self.randomize_level(xs, lp, rng, honest)
         return groups[0]
 
     def randomize_level(
         self,
         xs: np.ndarray,
-        epsilon: float,
-        m: int,
+        lp,
         rng,
         honest: np.ndarray,
     ) -> tuple[list[np.ndarray], int]:
-        """Payloads for one tree level of contiguous groups of m users.
+        """Payloads for one tree level ``lp`` (a ``defense.LevelPlan``) of
+        contiguous groups of m = ``lp.group_size`` users.
 
-        ``m`` is the group size, which also sets each user's noise share
-        (r = 1/m). Users with ``honest`` (a bool mask over ``xs``) false
-        contribute neither data nor noise (their behavior is supplied by
-        the adversary module). Returns one payload array per group plus
-        the total honest message count.
+        Each user's noise is an NB(1/m, ``lp.p``) share per sign. Users
+        with ``honest`` (a bool mask over ``xs``) false contribute
+        neither data nor noise (their behavior is supplied by the
+        adversary module). Returns one payload array per group plus the
+        total honest message count.
         """
         raise NotImplementedError
 
@@ -210,28 +215,15 @@ class BaseProtocol:
     ) -> tuple[list[np.ndarray], int]:
         """Levels of ``randomize_level`` as additive tallies, in order.
 
-        ``levels`` lists each level's ``(epsilon, m)``, bottom first, and
-        each m divides the next. Level i is drawn as ``randomize_level``
-        draws it, after the levels before it, so ``rng`` ends in the
-        state that those calls leave. Returns one int64 array of shape
-        ``(groups, bins)`` per level (``bins`` = 1 for count and sum),
-        whose row g finishes as the ``fold`` row of group g's payloads
-        does, plus the total honest message count.
+        ``levels`` lists the levels, bottom first, as a plan's ``levels``
+        does, and each group size divides the next. Level i is drawn as
+        ``randomize_level`` draws it, after the levels before it, so
+        ``rng`` ends in the state that those calls leave. Returns one
+        int64 array of shape ``(groups, bins)`` per level (``bins`` = 1
+        for count and sum), whose row g finishes as the ``fold`` row of
+        group g's payloads does, plus the total honest message count.
         """
         raise NotImplementedError
-
-    def tally_level(
-        self,
-        xs: np.ndarray,
-        epsilon: float,
-        m: int,
-        rng,
-        honest: np.ndarray,
-    ) -> tuple[np.ndarray, int]:
-        """The level of ``randomize_level`` as an additive tally: the
-        one-level case of ``tally_levels``."""
-        (tally,), count = self.tally_levels(xs, [(epsilon, m)], rng, honest)
-        return tally, count
 
     # -- analysis ----------------------------------------------------------
 
@@ -247,7 +239,7 @@ class BaseProtocol:
 
     def finish(self, tally: np.ndarray) -> np.ndarray:
         """Estimates from ``fold`` rows, or from sums of them (a
-        ``tally_level`` row plus the rows of envelopes added to it)."""
+        ``tally_levels`` row plus the rows of envelopes added to it)."""
         return tally
 
     def analyze(self, payloads: np.ndarray) -> QueryValue:
@@ -266,8 +258,11 @@ class BaseProtocol:
 
     # -- descriptors -------------------------------------------------------
 
-    def error_bound(self, epsilon: float, beta: float) -> int:
-        """High-probability bound on |analyze(group) - truth| (detection theta)."""
+    def law(self, epsilon: float, beta: float) -> tuple[float, int]:
+        """A level's noise law at budget epsilon: ``(p, theta)``, the DLap
+        parameter p of each group's noise, and theta, the bound on
+        |analyze(group) - truth| that fails with probability at most
+        beta (the level's detection threshold)."""
         raise NotImplementedError
 
     def bits_per_msg(self) -> int:
@@ -289,24 +284,22 @@ class SumProtocol(BaseProtocol):
             3, (4 * max(1, n) * max(1, query.domain_size)).bit_length()
         )
 
-    def _draw(self, xh, epsilon, m, rng, pos, neg):
-        """A level's per-user totals, each honest user's input (``xh``)
-        plus its noise share, mod q, drawn into ``pos``, which is
+    def _draw(self, xh, lp, rng, pos, neg):
+        """Level ``lp``'s per-user totals, each honest user's input
+        (``xh``) plus its noise share, mod q, drawn into ``pos``, which is
         returned. ``pos`` and ``neg`` are int64 buffers of one element
         per honest user; ``neg`` is left holding the negative shares."""
-        p = noise_base(epsilon, self.query.domain_size)
-        nb_sample(1.0 / m, p, rng, out=pos)
-        pos -= nb_sample(1.0 / m, p, rng, out=neg)
+        r = 1.0 / lp.group_size
+        nb_sample(r, lp.p, rng, out=pos)
+        pos -= nb_sample(r, lp.p, rng, out=neg)
         pos += xh
         pos &= self.modulus - 1  # q is a power of two: this is mod q
         return pos
 
-    def randomize_level(self, xs, epsilon, m, rng, honest):
-        hcount = _by_group(honest, m).sum(axis=1)
+    def randomize_level(self, xs, lp, rng, honest):
+        hcount = _by_group(honest, lp.group_size).sum(axis=1)
         xh = xs[honest]
-        totals = self._draw(
-            xh, epsilon, m, rng, *np.empty((2, xh.size), np.int64)
-        )
+        totals = self._draw(xh, lp, rng, *np.empty((2, xh.size), np.int64))
         # Uniform residues split each total into shares; the last share
         # makes each user's shares sum to its total mod q.
         parts = rng.integers(0, self.modulus, size=(totals.size, self.shares))
@@ -327,9 +320,9 @@ class SumProtocol(BaseProtocol):
         pos, neg = np.empty((2, xh.size), np.int64)
         msgs = xh.size * self.shares  # per level
         tallies = []
-        for epsilon, m in levels:
-            hcount = _by_group(honest, m).sum(axis=1)
-            totals = self._draw(xh, epsilon, m, rng, pos, neg)
+        for lp in levels:
+            hcount = _by_group(honest, lp.group_size).sum(axis=1)
+            totals = self._draw(xh, lp, rng, pos, neg)
             # The residues leave no trace in the sums below, so they are
             # skipped, not drawn.
             _skip_integers(rng, self.modulus, msgs)
@@ -364,8 +357,9 @@ class SumProtocol(BaseProtocol):
             int(bad),
         )
 
-    def error_bound(self, epsilon, beta):
-        return dlap_threshold(epsilon, self.query.domain_size, beta)
+    def law(self, epsilon, beta):
+        p = noise_base(epsilon, self.query.domain_size)
+        return p, dlap_threshold(p, beta)
 
     def bits_per_msg(self):
         return int(math.ceil(math.log2(self.modulus)))
@@ -388,17 +382,17 @@ class _TokenProtocol(BaseProtocol):
         self.per_user = bins_of(query, np.array([query.max_input]))[0].size
         self.top = np.arange(1, self.bins + 1, dtype=np.int64)
 
-    def _noise(self, epsilon, groups, rng):
-        """A level's ``(groups, bins)`` positive and negative noise token
-        counts: NB(h/m, p) per bin and sign, for the h honest users of
-        each row of the ``(groups, m)`` honest mask."""
-        p = noise_base(epsilon / self.per_user, 1)
+    def _noise(self, lp, honest, rng):
+        """Level ``lp``'s ``(groups, bins)`` positive and negative noise
+        token counts: NB(h/m, ``lp.p``) per bin and sign, for the h users
+        of ``honest`` in each group of m = ``lp.group_size``."""
+        groups = _by_group(honest, lp.group_size)
         # h/m: the float of groups.mean(axis=1), as h is exact in one.
         share = groups.sum(axis=1, dtype=float)
         share /= groups.shape[1]
         size = (share.size, self.bins)
-        pos = nb_sample(share[:, None], p, rng, size=size)
-        neg = nb_sample(share[:, None], p, rng, size=size)
+        pos = nb_sample(share[:, None], lp.p, rng, size=size)
+        neg = nb_sample(share[:, None], lp.p, rng, size=size)
         return pos, neg
 
     def _data_rows(self, xs, honest, m):
@@ -416,9 +410,9 @@ class _TokenProtocol(BaseProtocol):
         np.subtract.at(rows, others[owner] // m * b + col, 1)
         return rows.reshape(-1, b)
 
-    def randomize_level(self, xs, epsilon, m, rng, honest):
-        pos, neg = self._noise(epsilon, _by_group(honest, m), rng)
-        pos += self._data_rows(xs, honest, m)
+    def randomize_level(self, xs, lp, rng, honest):
+        pos, neg = self._noise(lp, honest, rng)
+        pos += self._data_rows(xs, honest, lp.group_size)
         return _emit_codes(np.hstack([pos, neg]))
 
     def tally_levels(self, xs, levels, rng, honest):
@@ -428,10 +422,10 @@ class _TokenProtocol(BaseProtocol):
         tallies = []
         count = 0
         rows = None
-        for epsilon, m in levels:
-            tally, neg = self._noise(epsilon, _by_group(honest, m), rng)
+        for lp in levels:
+            tally, neg = self._noise(lp, honest, rng)
             if rows is None:
-                rows = self._data_rows(xs, honest, m)
+                rows = self._data_rows(xs, honest, lp.group_size)
                 units = int(rows.sum())  # the data tokens of every level
             else:
                 rows = rows.reshape(tally.shape[0], -1, self.bins).sum(axis=1)
@@ -454,9 +448,9 @@ class _TokenProtocol(BaseProtocol):
         np.add.at(t, slots, counts)
         return t[b + 2 : 2 * b + 2] - t[b:0:-1], int(t[0] + t[b + 1] + t[-1])
 
-    def error_bound(self, epsilon, beta):
-        per_token = dlap_threshold(epsilon / self.per_user, 1, beta / self.bins)
-        return self.per_user * per_token
+    def law(self, epsilon, beta):
+        p = noise_base(epsilon / self.per_user, 1)
+        return p, self.per_user * dlap_threshold(p, beta / self.bins)
 
     def bits_per_msg(self):
         return int(math.ceil(math.log2(self.bins))) + 1 if self.bins > 1 else 1

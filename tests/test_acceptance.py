@@ -236,7 +236,7 @@ def test_a08_noise_law_suite():
     # (b) the two-sided tail at the published cutoff stays within budget.
     for eps, beta in ((1.0, 0.1), (0.5, 0.05)):
         q = math.exp(-eps)
-        t = dlap_threshold(eps, 1, beta)
+        t = dlap_threshold(q, beta)
         z = nb_sample(1.0, q, rng, size=size) - nb_sample(1.0, q, rng, size=size)
         frac = float(np.mean(np.abs(z) >= t))
         checks.append(
@@ -244,7 +244,9 @@ def test_a08_noise_law_suite():
         )
 
     # (c) frozen cutoff value.
-    checks.append(("cutoff(1,1,0.1)=3", dlap_threshold(1.0, 1, 0.1) == 3))
+    checks.append(
+        ("cutoff(e^-1,0.1)=3", dlap_threshold(math.exp(-1.0), 0.1) == 3)
+    )
 
     ok = all(c[1] for c in checks)
     _verdict(

@@ -8,7 +8,9 @@ the plan is calibrated for: 1 for count, U for sum.
 
 Law: the noise ``tally_all`` adds to a group of m users with h honest
 members is, per bin, ``pair_pmf(h/m, p)`` at its level's p, and the
-honest message count has the law's mean.
+honest message count has the law's mean. The law test computes p from
+the level's epsilon (``law_p``); that each level stores that same p,
+which its samplers read, is a test of its own.
 """
 
 import math
@@ -83,6 +85,16 @@ def law_p(query: Query, epsilon: float) -> float:
     return math.exp(-epsilon)
 
 
+def law_plan(query: str, variant: str):
+    """The plan of the law test for a ``LAW_QUERIES`` key and a
+    ``LAW_VARIANTS`` key."""
+    lam, k_hat = LAW_VARIANTS[variant]
+    return make_plan(
+        Variant(variant), make_base(LAW_QUERIES[query], LAW_N), LAW_N, 1.0,
+        LAW_N ** -2.0, 0.1, lam=lam, k_hat=k_hat,
+    )
+
+
 def law_cells(pmf: np.ndarray, cells: int) -> np.ndarray:
     """The cell of each support point: runs of consecutive values, each
     of mass at least 1/cells, a short last run joined to the one before."""
@@ -118,11 +130,7 @@ def test_tally_noise_has_the_accountants_law(query, variant):
     # row minus its honest users' true aggregate, pooled by level and
     # honest count h, is chi-squared against pair_pmf(h/m, p).
     q = LAW_QUERIES[query]
-    lam, k_hat = LAW_VARIANTS[variant]
-    plan = make_plan(
-        Variant(variant), make_base(q, LAW_N), LAW_N, 1.0, LAW_N ** -2.0,
-        0.1, lam=lam, k_hat=k_hat,
-    )
+    plan = law_plan(query, variant)
     rng = np.random.default_rng(23)
     xs = rng.integers(0, q.max_input + 1, size=LAW_N)
     honest = np.ones(LAW_N, dtype=bool)
@@ -183,3 +191,13 @@ def test_tally_noise_has_the_accountants_law(query, variant):
         assert abs(observed - mean) <= LAW_MAX_Z * spread, message
     else:  # sum: a fixed number of shares per honest user
         assert observed == mean, message
+
+
+@pytest.mark.parametrize("variant", list(LAW_VARIANTS))
+@pytest.mark.parametrize("query", list(LAW_QUERIES))
+def test_each_level_stores_the_accountants_p(query, variant):
+    # The samplers draw at the p that make_plan stores on each level; the
+    # law test above computes p with law_p and never reads lp.p, so the
+    # two are checked equal here, bit for bit.
+    for lp in law_plan(query, variant).levels:
+        assert lp.p == law_p(LAW_QUERIES[query], lp.budget.epsilon), lp

@@ -54,7 +54,7 @@ class TestPlans:
         assert len(plan.levels) == 1
         lvl = plan.levels[0]
         assert (lvl.group_size, lvl.num_groups) == (1, 4)
-        assert lvl.theta == dlap_threshold(1.0, 1, 0.025)
+        assert lvl.theta == dlap_threshold(math.exp(-1.0), 0.025)
 
     def test_susdp_n1_degenerate(self):
         plan = make_plan(Variant.SUSDP, count_base(), 1, 1.0, 0.01, 0.1)
@@ -194,7 +194,7 @@ def test_budget_invariants(args):
         beta + slack
     )
     for lp in plan.levels:
-        assert lp.theta == base.error_bound(lp.budget.epsilon, lp.budget.beta)
+        assert (lp.p, lp.theta) == base.law(lp.budget.epsilon, lp.budget.beta)
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -388,7 +388,7 @@ def test_tally_all_is_each_levels_data_rows_plus_noise(variant, query, seed):
     assert len(tallies) == len(plan.levels)
     for lp, tally in zip(plan.levels, tallies):
         m = lp.group_size
-        pos, neg = base._noise(lp.budget.epsilon, honest.reshape(-1, m), want_rng)
+        pos, neg = base._noise(lp, honest, want_rng)
         rows = base._data_rows(xs, honest, m)
         want_count += int(pos.sum()) + int(neg.sum()) + int(rows.sum())
         assert tally.dtype == np.int64

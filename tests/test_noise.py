@@ -35,14 +35,15 @@ def threshold_oracle(epsilon_eff, sensitivity, beta):
 
 class TestThreshold:
     def test_unit_case(self):
-        assert dlap_threshold(1.0, 1, 0.1) == 3
+        assert dlap_threshold(math.exp(-1.0), 0.1) == 3
 
     def test_boundary_t1(self):
         p = math.exp(-1.0)
-        assert dlap_threshold(1.0, 1, 2 * p / (1 + p) + 1e-12) == 1
+        assert dlap_threshold(p, 2 * p / (1 + p) + 1e-12) == 1
 
     def test_wide_sensitivity(self):
-        assert dlap_threshold(0.5, 10, 0.05) == threshold_oracle(0.5, 10, 0.05)
+        p = noise_base(0.5, 10)
+        assert dlap_threshold(p, 0.05) == threshold_oracle(0.5, 10, 0.05)
 
     @pytest.mark.parametrize(
         "eps,sens,beta",
@@ -50,18 +51,20 @@ class TestThreshold:
          (4.0, 1, 0.001), (0.05, 25, 0.2)],
     )
     def test_matches_pmf_oracle(self, eps, sens, beta):
-        assert dlap_threshold(eps, sens, beta) == threshold_oracle(eps, sens, beta)
+        p = noise_base(eps, sens)
+        assert dlap_threshold(p, beta) == threshold_oracle(eps, sens, beta)
 
     def test_noiseless_limit(self):
-        assert dlap_threshold(math.inf, 1, 0.1) == 1
+        assert dlap_threshold(noise_base(math.inf, 1), 0.1) == 1
 
     def test_invalid_params(self):
         with pytest.raises(ParameterError):
-            dlap_threshold(1.0, 1, 1.0)
+            dlap_threshold(math.exp(-1.0), 1.0)
         with pytest.raises(ParameterError):
-            dlap_threshold(-1.0, 1, 0.1)
+            dlap_threshold(-0.1, 0.1)
+        # p = 1 (epsilon 0): no finite threshold exists.
         with pytest.raises(ParameterError):
-            dlap_threshold(1.0, 0, 0.1)
+            dlap_threshold(1.0, 0.1)
 
     def test_tail_closed_form(self):
         p = 0.7
@@ -101,7 +104,7 @@ class TestNbSample:
         # Empirical Pr[|Z| >= threshold] stays within 1.5 beta.
         for eps, beta in [(1.0, 0.1), (0.5, 0.05)]:
             p = math.exp(-eps)
-            t = dlap_threshold(eps, 1, beta)
+            t = dlap_threshold(p, beta)
             rng = np.random.default_rng(int(eps * 10))
             z = nb_sample(1.0, p, rng, size=10_000) - nb_sample(
                 1.0, p, rng, size=10_000

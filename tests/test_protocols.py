@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from shuffleguard.defense import Variant, make_plan
 from shuffleguard.errors import ParameterError, ProtocolError
-from shuffleguard.noise import dlap_threshold
+from shuffleguard.noise import dlap_threshold, noise_base
 from shuffleguard.protocols import (
     CountProtocol,
     SumProtocol,
@@ -36,6 +37,12 @@ def hist_proto(u=3):
     return make_base(Query(QueryKind.HISTOGRAM, u), 1)
 
 
+def level(proto, eps, m):
+    """The level of groups of m users at budget eps, as ``make_plan``
+    builds it: the one level of the base variant over m users."""
+    return make_plan(Variant.BASE, proto, m, eps, 0.0, 0.1).levels[0]
+
+
 class TestBudget:
     def test_valid(self):
         PrivacyBudget(1.0, 0.0, 0.1)
@@ -53,12 +60,14 @@ class TestBudget:
 class TestCount:
     def test_noiseless_one(self):
         rng = np.random.default_rng(0)
-        out = count_proto().randomize(1, INF, 1, rng)
+        proto = count_proto()
+        out = proto.randomize(1, level(proto, INF, 1), rng)
         np.testing.assert_array_equal(out, [1])
 
     def test_noiseless_zero(self):
         rng = np.random.default_rng(0)
-        assert count_proto().randomize(0, INF, 1, rng).size == 0
+        proto = count_proto()
+        assert proto.randomize(0, level(proto, INF, 1), rng).size == 0
 
     def test_analyze(self):
         p = count_proto()
@@ -76,9 +85,10 @@ class TestCount:
         rng = np.random.default_rng(42)
         xs = np.asarray([1, 0, 1, 1], dtype=np.int64)
         errs = []
+        lp = level(proto, 1.0, 4)
         for _ in range(20_000):
             groups, _ = proto.randomize_level(
-                xs, 1.0, 4, rng, np.ones(xs.size, bool)
+                xs, lp, rng, np.ones(xs.size, bool)
             )
             errs.append(proto.analyze(groups[0]) - 3)
         errs = np.asarray(errs)
@@ -114,7 +124,7 @@ class TestSum:
         proto = sum_proto()
         rng = np.random.default_rng(0)
         for x in (0, 5):
-            shares = proto.randomize(x, INF, 1, rng)
+            shares = proto.randomize(x, level(proto, INF, 1), rng)
             assert shares.size == proto.shares
             assert int(shares.sum()) % proto.modulus == x
 
@@ -139,7 +149,7 @@ class TestSum:
             proto = sum_proto(u=10, n=n)
             xs = rng.integers(0, 11, size=n)
             groups, total = proto.randomize_level(
-                xs, INF, n, rng, np.ones(xs.size, bool)
+                xs, level(proto, INF, n), rng, np.ones(xs.size, bool)
             )
             assert total == n * proto.shares
             assert proto.analyze(groups[0]) == xs.sum()
@@ -151,9 +161,10 @@ class TestSum:
         rng = np.random.default_rng(11)
         xs = np.asarray([4, 0, 2, 1], dtype=np.int64)
         errs = []
+        lp = level(proto, eps, 4)
         for _ in range(20_000):
             groups, _ = proto.randomize_level(
-                xs, eps, 4, rng, np.ones(xs.size, bool)
+                xs, lp, rng, np.ones(xs.size, bool)
             )
             errs.append(proto.analyze(groups[0]) - 7)
         errs = np.asarray(errs)
@@ -172,7 +183,8 @@ class TestSum:
 class TestHist:
     def test_noiseless(self):
         rng = np.random.default_rng(0)
-        out = hist_proto().randomize(2, INF, 1, rng)
+        proto = hist_proto()
+        out = proto.randomize(2, level(proto, INF, 1), rng)
         np.testing.assert_array_equal(out, [3])  # code bin+1
 
     def test_analyze(self):
@@ -198,13 +210,14 @@ class TestHist:
     def test_degenerate_u0_counts_bin0(self):
         proto = hist_proto(u=0)
         rng = np.random.default_rng(0)
-        out = proto.randomize(0, INF, 1, rng)
+        out = proto.randomize(0, level(proto, INF, 1), rng)
         np.testing.assert_array_equal(out, [1])
 
     def test_per_bin_error_bound_holds(self):
         proto = hist_proto(u=3)
         eps, beta = 1.0, 0.1
-        theta = proto.error_bound(eps, beta)
+        _, theta = proto.law(eps, beta)
+        lp = level(proto, eps, 6)
         rng = np.random.default_rng(9)
         xs = np.asarray([0, 1, 2, 3, 3, 3], dtype=np.int64)
         truth = eval_query(proto.query, xs)
@@ -212,7 +225,7 @@ class TestHist:
         trials = 2000
         for _ in range(trials):
             groups, _ = proto.randomize_level(
-                xs, eps, 6, rng, np.ones(xs.size, bool)
+                xs, lp, rng, np.ones(xs.size, bool)
             )
             err = np.max(np.abs(proto.analyze(groups[0]) - truth))
             bad += err > theta
@@ -224,7 +237,7 @@ class TestRangeTree:
         q = Query(QueryKind.RANGE_TREE, 3)
         proto = make_base(q, 1)
         rng = np.random.default_rng(0)
-        out = proto.randomize(3, INF, 1, rng)
+        out = proto.randomize(3, level(proto, INF, 1), rng)
         # bins: level0 offset 0 (bin 3), level1 offset 4 (bin 1), root offset 6
         np.testing.assert_array_equal(out, [4, 6, 7])
 
@@ -234,7 +247,7 @@ class TestRangeTree:
         rng = np.random.default_rng(1)
         xs = np.asarray([0, 1, 3, 3], dtype=np.int64)
         groups, _ = proto.randomize_level(
-            xs, INF, 4, rng, np.ones(xs.size, bool)
+            xs, level(proto, INF, 4), rng, np.ones(xs.size, bool)
         )
         np.testing.assert_array_equal(
             proto.analyze(groups[0]), eval_query(q, xs)
@@ -401,7 +414,10 @@ def test_sum_tally_levels_draw_into_two_buffers(monkeypatch):
     proto = sum_proto(u=255, n=n)
     xs = np.arange(n, dtype=np.int64) % 256
     honest = np.arange(n) % 7 > 0
-    levels = [(1.0, 64), (0.5, 128), (2.0, 1024), (1.0, n)]
+    levels = [
+        level(proto, eps, m)
+        for eps, m in [(1.0, 64), (0.5, 128), (2.0, 1024), (1.0, n)]
+    ]
     proto.tally_levels(xs, levels, np.random.default_rng(0), honest)
     assert len(outs) == 2 * len(levels)
     pos, neg = outs[:2]
@@ -440,9 +456,10 @@ def test_tally_level_is_randomize_level_analyzed(
     honest = np.asarray(
         data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     )
+    lp = level(proto, eps, m)
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    payloads, msgs = proto.randomize_level(xs, eps, m, rng_a, honest=honest)
-    tally, tally_msgs = proto.tally_level(xs, eps, m, rng_b, honest=honest)
+    payloads, msgs = proto.randomize_level(xs, lp, rng_a, honest=honest)
+    (tally,), tally_msgs = proto.tally_levels(xs, [lp], rng_b, honest=honest)
     assert tally.dtype == np.int64
     assert tally.shape == (groups, proto.query.num_bins)
     assert tally_msgs == msgs == sum(p.size for p in payloads)
@@ -472,7 +489,7 @@ def test_all_honest_token_noise_is_one_fill_per_sign(m):
 
     proto = range_proto(u=15)
     spy = Spy(np.random.default_rng(m))
-    pos, neg = proto._noise(1.0, np.ones((2048 // m, m), bool), spy)
+    pos, neg = proto._noise(level(proto, 1.0, m), np.ones(2048, bool), spy)
     assert pos.shape == neg.shape == (2048 // m, proto.bins)
     assert spy.calls == ["standard_exponential", "poisson"] * 2
 
@@ -485,10 +502,13 @@ def test_sum_tally_exact_at_largest_modulus():
     assert q == 1 << 26
     xs = np.zeros(4096, dtype=np.int64)
     honest = np.ones(xs.size, bool)
+    lp = level(proto, 1.0, 1024)
     payloads, _ = proto.randomize_level(
-        xs, 1.0, 1024, np.random.default_rng(3), honest
+        xs, lp, np.random.default_rng(3), honest
     )
-    tally, _ = proto.tally_level(xs, 1.0, 1024, np.random.default_rng(3), honest)
+    (tally,), _ = proto.tally_levels(
+        xs, [lp], np.random.default_rng(3), honest
+    )
     # A user with negative noise wraps to a residue near q, so a row
     # only matches after reduction mod q.
     assert (tally >= q).any()
@@ -539,9 +559,10 @@ def test_sum_tally_level_holds_at_most_four_user_arrays():
     xs = np.full(n, 255, dtype=np.int64)
     honest = np.ones(n, bool)
     rng = np.random.default_rng(0)
+    levels = [level(proto, 1.0, m)]
     tracemalloc.start()
     try:
-        proto.tally_level(xs, 1.0, m, rng, honest)
+        proto.tally_levels(xs, levels, rng, honest)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -562,6 +583,7 @@ def test_tally_levels_peak_is_the_bottom_levels(proto, levels):
     n = 1 << 16
     xs = np.full(n, proto.query.max_input, dtype=np.int64)
     honest = np.ones(n, bool)
+    levels = [level(proto, eps, m) for eps, m in levels]
     peaks = []
     for drawn in (levels[:1], levels[:1], levels):
         tracemalloc.start()
@@ -570,7 +592,7 @@ def test_tally_levels_peak_is_the_bottom_levels(proto, levels):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    second = 8 * n // levels[1][1] * proto.query.num_bins
+    second = 8 * n // levels[1].group_size * proto.query.num_bins
     assert peaks[2] <= peaks[1] + second + n
 
 
@@ -596,26 +618,25 @@ def test_sum_fold_counts_codes_outside_zero_to_q_malformed(code):
 
 class TestDescriptors:
     def test_count_threshold(self):
-        assert count_proto().error_bound(1.0, 0.1) == 3
+        assert count_proto().law(1.0, 0.1)[1] == 3
 
     def test_sum_threshold_wide_sensitivity(self):
         # Exact tail quantile at p = e^{-1/10}: the smallest t with
         # 2 p^t/(1+p) <= 0.1 is 24.
-        assert sum_proto(u=10).error_bound(1.0, 0.1) == 24
+        assert sum_proto(u=10).law(1.0, 0.1)[1] == 24
 
     def test_hist_threshold_union_bound(self):
-        from shuffleguard.noise import dlap_threshold
-
         proto = hist_proto(u=9)
-        assert proto.error_bound(1.0, 0.1) == dlap_threshold(1.0, 1, 0.01)
+        p = noise_base(1.0, 1)
+        assert proto.law(1.0, 0.1) == (p, dlap_threshold(p, 0.01))
 
     def test_sum_msgs_and_bits(self):
         # Every honest user sends exactly its 3 shares.
         proto = sum_proto()
         xs = np.arange(12, dtype=np.int64) % 11
         honest = np.arange(12) % 3 > 0
-        _, total = proto.tally_level(
-            xs, 1.0, 4, np.random.default_rng(5), honest
+        _, total = proto.tally_levels(
+            xs, [level(proto, 1.0, 4)], np.random.default_rng(5), honest
         )
         assert total == 3 * honest.sum()
         assert proto.bits_per_msg() == math.ceil(math.log2(proto.modulus))
@@ -636,8 +657,8 @@ class TestDescriptors:
         ):
             p = math.exp(-eps / data_tokens)
             xs = np.full(n, proto.query.max_input, dtype=np.int64)
-            _, total = proto.tally_level(
-                xs, eps, m, np.random.default_rng(5), honest
+            _, total = proto.tally_levels(
+                xs, [level(proto, eps, m)], np.random.default_rng(5), honest
             )
             expect = data_tokens + 2 * proto.bins * p / (m * (1 - p))
             assert total / n == pytest.approx(expect, rel=0.05)
@@ -646,10 +667,11 @@ class TestDescriptors:
         rng = np.random.default_rng(6)
         proto = count_proto()
         xs = np.asarray([1, 1, 0, 1], dtype=np.int64)
+        lp = level(proto, 1.0, 4)
         errs = []
         for _ in range(10_000):
             groups, _ = proto.randomize_level(
-                xs, 1.0, 4, rng, np.ones(xs.size, bool)
+                xs, lp, rng, np.ones(xs.size, bool)
             )
             errs.append(proto.analyze(groups[0]) - 3)
         errs = np.asarray(errs, dtype=float)
@@ -669,7 +691,7 @@ def test_error_bound_non_increasing_in_beta(eps, b1, b2, u):
     for proto in (
         count_proto(), sum_proto(u=max(u, 1)), hist_proto(u), range_proto(u)
     ):
-        assert proto.error_bound(eps, hi) <= proto.error_bound(eps, lo)
+        assert proto.law(eps, hi)[1] <= proto.law(eps, lo)[1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -677,15 +699,17 @@ def test_error_bound_non_increasing_in_beta(eps, b1, b2, u):
 def test_token_descriptors_match_closed_forms(eps, beta, u):
     # Count, hist and range share one set of descriptors; each must equal
     # the protocol's own closed form exactly.
-    assert count_proto().error_bound(eps, beta) == dlap_threshold(eps, 1, beta)
+    p = math.exp(-eps)
+    assert count_proto().law(eps, beta) == (p, dlap_threshold(p, beta))
 
     hist = hist_proto(u)
-    assert hist.error_bound(eps, beta) == dlap_threshold(eps, 1, beta / (u + 1))
+    assert hist.law(eps, beta) == (p, dlap_threshold(p, beta / (u + 1)))
 
     tree = range_proto(u)
     levels = len(tree.query.tree_levels)
-    assert tree.error_bound(eps, beta) == levels * dlap_threshold(
-        eps / levels, 1, beta / tree.bins
+    p = math.exp(-eps / levels)
+    assert tree.law(eps, beta) == (
+        p, levels * dlap_threshold(p, beta / tree.bins)
     )
 
 
