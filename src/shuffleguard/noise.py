@@ -80,8 +80,6 @@ def dlap_threshold(p: float, beta: float) -> int:
     """
     if not 0 < beta < 1:
         raise ParameterError("beta must be in (0, 1)")
-    if not 0.0 <= p < 1.0:
-        raise ParameterError("p must be in [0, 1)")
     if p == 0.0:  # noiseless limit: |Z| >= 1 has probability zero
         return 1
     # 2 p^t / (1+p) <= beta  <=>  t >= log(beta (1+p) / 2) / log(p)

@@ -60,11 +60,11 @@ class TestThreshold:
     def test_invalid_params(self):
         with pytest.raises(ParameterError):
             dlap_threshold(math.exp(-1.0), 1.0)
+        # The budget enters through noise_base, which refuses it there.
         with pytest.raises(ParameterError):
-            dlap_threshold(-0.1, 0.1)
-        # p = 1 (epsilon 0): no finite threshold exists.
+            noise_base(-1.0, 1)
         with pytest.raises(ParameterError):
-            dlap_threshold(1.0, 0.1)
+            noise_base(1.0, 0)
 
     def test_tail_closed_form(self):
         p = 0.7
