@@ -460,7 +460,15 @@ def emit(summaries, fmt: str, path) -> None:
     rows = [summary_row(s) for s in summaries]
     path = Path(path)
     if fmt == "json":
-        path.write_text(json.dumps(rows, indent=2, default=str) + "\n")
+        # RFC 8259 has no Infinity or NaN: such a float is written as the
+        # string the CSV prints for it.
+        rows = [
+            {k: _fmt(v) if isinstance(v, float) and not math.isfinite(v)
+             else v for k, v in row.items()}
+            for row in rows
+        ]
+        text = json.dumps(rows, indent=2, default=str, allow_nan=False)
+        path.write_text(text + "\n")
         return
     if fmt != "csv":
         raise ParameterError(f"unknown output format {fmt!r}")

@@ -19,16 +19,16 @@ are one per-element ``standard_gamma`` call, and the draws and the
 generator state after them are those of the one broadcast ``gamma``
 call, which costs about twice as much per element. A scalar r is one
 ``standard_gamma`` fill, then times the scale. An r broadcast along
-trailing axes, such as the token protocols' ``(groups, 1)`` shares at
-size ``(groups, bins)``, is searched for runs before it expands. The
-Poisson draw is unchanged.
+trailing axes, such as the token protocols' ``(groups, 1)`` shares
+drawn into a ``(groups, bins)`` array, is searched for runs before it
+expands. The Poisson draw is unchanged.
 
-Given an int64 ``out``, ``nb_sample`` draws in place, as numpy's ``out=``
-arguments do: the gamma means go into ``out``'s own memory viewed as
-float64, and the Poisson draws then overwrite them ``BLOCK`` elements at
-a time, in element order. Both steps draw what the allocating call
-draws, so a caller that reuses its buffers across calls, as the sum
-tally does, touches no fresh memory per call.
+``nb_sample`` has one form: it draws into a given int64 ``out``, in
+place, as numpy's ``out=`` arguments do. The gamma means go into
+``out``'s own memory viewed as float64, and the Poisson draws then
+overwrite them ``BLOCK`` elements at a time, in element order. So a
+caller that owns its buffers, as both tallies do, touches no fresh
+memory per call beyond one block of Poisson draws.
 ``tests/test_noise.py::test_nb_sample_is_gamma_poisson`` and
 ``test_nb_sample_out_is_the_allocating_draw`` pin these facts.
 """
@@ -45,8 +45,8 @@ from .errors import ParameterError
 #: per-element gamma call, rather than by one exponential fill each.
 MIN_RUN = 64
 
-#: Poisson draws per call when ``nb_sample`` draws into ``out``: each
-#: block's draws are one small temporary, not a whole-size array.
+#: Poisson draws per call in ``nb_sample``: each block's draws are one
+#: small temporary, not a whole-size array.
 BLOCK = 8192
 
 
@@ -126,58 +126,44 @@ def _standard_gamma(
 
 
 def nb_sample(
-    r, p: float, rng: np.random.Generator, size=None, out=None
+    r, p: float, rng: np.random.Generator, out: np.ndarray
 ) -> np.ndarray:
     """Negative binomial NB(r, p) with pmf proportional to C(k+r-1, k)(1-p)^r p^k.
 
     Sampled as a Gamma-Poisson mixture so that fractional r (= 1/m noise
-    shares) is supported; ``r`` may be an array for batched draws, and
-    r = 0 degenerates to the constant 0. At r = 1 this is geometric(p)
-    with mean p/(1-p). The draws are an int64 array of shape ``size``,
-    or of the shape of ``r`` when ``size`` is None.
-
-    With ``out``, a C-contiguous int64 array, the draws are written into
-    it and it is returned; its shape is the size, so ``size`` must be
-    None. No array of its size is allocated.
+    shares) is supported; ``r`` may be an array for batched draws,
+    broadcast to the shape of ``out``, and r = 0 degenerates to the
+    constant 0. At r = 1 this is geometric(p) with mean p/(1-p). The
+    draws are written into ``out``, a C-contiguous int64 array whose
+    shape is the size of the draw, and ``out`` is returned; no array of
+    its size is allocated.
 
     The draws and the generator state after them are exactly those of
-    ``rng.poisson(rng.gamma(r, p/(1-p), size))``, the sampler's
+    ``rng.poisson(rng.gamma(r, p/(1-p), out.shape))``, the sampler's
     definition, but made the cheaper way the module docstring describes;
     ``tests/test_noise.py::test_nb_sample_is_gamma_poisson`` pins this.
     """
     if np.any(np.asarray(r) < 0):
         raise ParameterError("r must be nonnegative")
-    if out is not None:
-        if size is not None:
-            raise ParameterError("give size or out, not both")
-        if out.dtype != np.int64 or not out.flags.c_contiguous:
-            raise ParameterError("out must be a C-contiguous int64 array")
-        size = out.shape
+    if out.dtype != np.int64 or not out.flags.c_contiguous:
+        raise ParameterError("out must be a C-contiguous int64 array")
     if p <= 0.0:
-        if out is None:
-            return np.zeros(np.shape(r) if size is None else size, np.int64)
         out.fill(0)
         return out
-    scale = p / (1.0 - p)
-    if out is None:
-        lam = np.empty(np.shape(r) if size is None else size)
-    else:
-        lam = out.view(np.float64)
+    lam = out.view(np.float64)
     if np.ndim(r) == 0:
         rng.standard_gamma(r, out=lam)
     else:
         r = np.broadcast_to(np.asarray(r, dtype=float), lam.shape)
         # Trailing broadcast axes repeat each r in place: the run search
         # reads the r before they expand it, a bin-fold smaller for the
-        # token protocols' (groups, bins) view of per-group shares.
+        # token protocols' (groups, 1) column of per-group shares.
         reps = 1
         while r.ndim and r.shape[-1] and r.strides[-1] == 0:
             reps *= r.shape[-1]
             r = r[..., 0]
         _standard_gamma(r.reshape(-1), reps, rng, lam.reshape(-1))
-    lam *= scale
-    if out is None:
-        return np.asarray(rng.poisson(lam), dtype=np.int64)
+    lam *= p / (1.0 - p)
     # Each block of means is read by its Poisson call before its draws
     # overwrite it.
     draws, means = out.reshape(-1), lam.reshape(-1)

@@ -47,15 +47,16 @@ users), and then takes one of two forms:
     one call. No payload is materialized; envelopes' fold rows add to
     its rows. The token protocols take the bottom level's data-token
     rows from one ``bins_of`` over all users less the corrupted users'
-    units, and each level above sums them from its children's rows;
-    each level's rows are added to its positive noise in place, after
-    its noise is drawn.
+    units, and each level above sums them from its children's rows.
+    They draw every level's noise into one block, a level's tally and
+    then its negative draws in the block's next rows, and add each
+    level's rows to its tally in place.
     The sum tally sums each group's totals and never draws the share
     residues: it advances the generator past them (``_skip_integers``).
     Every level of it covers the same honest users, so it gathers their
     inputs once and draws every level's positive and negative shares
-    into the same two buffers (``nb_sample``'s ``out=``), allocating no
-    per-user array per level.
+    into the same two buffers. Neither tally allocates a noise array
+    per level: ``nb_sample`` draws into the buffers it is given.
   - ``randomize_level``: the same draw as one payload array per group, for
     the message-level path, which the tests and the benchmark's traced
     replay keep as an oracle. The token protocols list each group's codes
@@ -382,18 +383,16 @@ class _TokenProtocol(BaseProtocol):
         self.per_user = bins_of(query, np.array([query.max_input]))[0].size
         self.top = np.arange(1, self.bins + 1, dtype=np.int64)
 
-    def _noise(self, lp, honest, rng):
-        """Level ``lp``'s ``(groups, bins)`` positive and negative noise
-        token counts: NB(h/m, ``lp.p``) per bin and sign, for the h users
-        of ``honest`` in each group of m = ``lp.group_size``."""
+    def _noise(self, lp, honest, rng, pos, neg):
+        """Draws level ``lp``'s noise token counts into the int64 ``(groups,
+        bins)`` buffers ``pos``, then ``neg``: NB(h/m, ``lp.p``) per bin and
+        sign; h of each group's m = ``lp.group_size`` users are ``honest``."""
         groups = _by_group(honest, lp.group_size)
         # h/m: the float of groups.mean(axis=1), as h is exact in one.
         share = groups.sum(axis=1, dtype=float)
         share /= groups.shape[1]
-        size = (share.size, self.bins)
-        pos = nb_sample(share[:, None], lp.p, rng, size=size)
-        neg = nb_sample(share[:, None], lp.p, rng, size=size)
-        return pos, neg
+        nb_sample(share[:, None], lp.p, rng, out=pos)
+        nb_sample(share[:, None], lp.p, rng, out=neg)
 
     def _data_rows(self, xs, honest, m):
         """The ``(groups, bins)`` data token counts of the honest users:
@@ -411,19 +410,29 @@ class _TokenProtocol(BaseProtocol):
         return rows.reshape(-1, b)
 
     def randomize_level(self, xs, lp, rng, honest):
-        pos, neg = self._noise(lp, honest, rng)
+        pos, neg = np.empty((2, xs.size // lp.group_size, self.bins), np.int64)
+        self._noise(lp, honest, rng, pos, neg)
         pos += self._data_rows(xs, honest, lp.group_size)
         return _emit_codes(np.hstack([pos, neg]))
 
     def tally_levels(self, xs, levels, rng, honest):
+        # One block holds every level: level r's tally is its next G_r
+        # rows and its negative draws the G_r rows after them, which the
+        # next level's tally takes once spent. The next call reuses its
+        # heap: 0 minor faults per wide-count trial, ~350 with level arrays.
+        sizes = [xs.size // lp.group_size for lp in levels]
+        ends = np.cumsum(sizes).tolist()
+        height = max((e + g for e, g in zip(ends, sizes)), default=0)
+        block = np.empty((height, self.bins), np.int64)
         # Only the bottom level's data rows come from the users' units;
         # every level above sums its children's rows, which is exact as
         # each of its groups is a run of whole groups below.
         tallies = []
         count = 0
         rows = None
-        for lp in levels:
-            tally, neg = self._noise(lp, honest, rng)
+        for lp, end, g in zip(levels, ends, sizes):
+            tally, neg = block[end - g : end], block[end : end + g]
+            self._noise(lp, honest, rng, tally, neg)
             if rows is None:
                 rows = self._data_rows(xs, honest, lp.group_size)
                 units = int(rows.sum())  # the data tokens of every level
@@ -431,7 +440,6 @@ class _TokenProtocol(BaseProtocol):
                 rows = rows.reshape(tally.shape[0], -1, self.bins).sum(axis=1)
             count += int(tally.sum()) + int(neg.sum()) + units
             tally -= neg
-            del neg  # freed before the next level's draw
             tally += rows
             tallies.append(tally)
         return tallies, count

@@ -126,12 +126,13 @@ def bins_of(q: Query, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     count, hist or range answer: ``owner`` indexes ``values`` and ``bin``
     is the flattened bin the unit raises. ``owner`` is always a new array.
 
-      - count: x units in bin 0 for the value x;
+      - count: one unit in bin 0 for each value 1 (in-domain count
+        values are bits, so a bool mask gives the owners);
       - hist and range: one unit per tree level, in bin
         offset + (x >> shift); hist's one level puts it in bin x.
     """
     if q.kind is QueryKind.COUNT:
-        owner = np.repeat(np.arange(values.size), values)
+        owner = np.flatnonzero(values != 0)
         return owner, np.zeros(owner.size, dtype=np.int64)
     levels = q.tree_levels
     owner = np.repeat(np.arange(values.size), len(levels))

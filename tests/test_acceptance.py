@@ -228,7 +228,9 @@ def test_a08_noise_law_suite():
     hi = 12
     probs = np.array([(1 - p) * p**k for k in range(hi)] + [p**hi])
     for m in (1, 4, 16):
-        total = nb_sample(1.0 / m, p, rng, size=(size, m)).sum(axis=1)
+        total = nb_sample(
+            1.0 / m, p, rng, out=np.empty((size, m), np.int64)
+        ).sum(axis=1)
         obs = np.bincount(np.minimum(total, hi), minlength=hi + 1)
         pval = stats.chisquare(obs, probs * size).pvalue
         checks.append((f"shares m={m} pvalue={pval:.3f}", pval > 0.01))
@@ -237,7 +239,8 @@ def test_a08_noise_law_suite():
     for eps, beta in ((1.0, 0.1), (0.5, 0.05)):
         q = math.exp(-eps)
         t = dlap_threshold(q, beta)
-        z = nb_sample(1.0, q, rng, size=size) - nb_sample(1.0, q, rng, size=size)
+        z = nb_sample(1.0, q, rng, out=np.empty(size, np.int64))
+        z -= nb_sample(1.0, q, rng, out=np.empty(size, np.int64))
         frac = float(np.mean(np.abs(z) >= t))
         checks.append(
             (f"tail eps={eps} beta={beta} frac={frac:.3f}", frac <= 1.5 * beta)

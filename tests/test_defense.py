@@ -388,7 +388,8 @@ def test_tally_all_is_each_levels_data_rows_plus_noise(variant, query, seed):
     assert len(tallies) == len(plan.levels)
     for lp, tally in zip(plan.levels, tallies):
         m = lp.group_size
-        pos, neg = base._noise(lp, honest, want_rng)
+        pos, neg = np.empty((2, lp.num_groups, base.bins), np.int64)
+        base._noise(lp, honest, want_rng, pos, neg)
         rows = base._data_rows(xs, honest, m)
         want_count += int(pos.sum()) + int(neg.sum()) + int(rows.sum())
         assert tally.dtype == np.int64

@@ -490,6 +490,25 @@ class TestCli:
         data = json.loads(out.read_text())
         assert [d["lam"] for d in data] == [4, 16]
 
+    def test_json_of_infinite_eps_is_strict(self, tmp_path):
+        # RFC 8259 has no Infinity: eps = inf, the noiseless limit, is
+        # written as the string the CSV prints, "inf".
+        from shuffleguard.cli import main
+
+        out = tmp_path / "x.json"
+        rc = main([
+            "run", "--n", "64", "--trials", "2", "--eps", "inf",
+            "--format", "json", "--out", str(out),
+        ])
+        assert rc == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        (row,) = json.loads(out.read_text(), parse_constant=refuse)
+        assert row["eps"] == "inf"
+        assert row["abs_error"] == 0
+
     def test_bad_config_key(self, tmp_path, capsys):
         from shuffleguard.cli import main
 

@@ -73,26 +73,31 @@ class TestThreshold:
             assert dlap_tail(t, p) == pytest.approx(1.0 - body, abs=1e-12)
 
 
+def draw(r, p, rng, size=()):
+    """``nb_sample`` into a new int64 buffer of shape ``size``."""
+    return nb_sample(r, p, rng, out=np.empty(size, np.int64))
+
+
 class TestNbSample:
     def test_degenerate_p(self):
         rng = np.random.default_rng(0)
-        assert nb_sample(1.0, 0.0, rng) == 0
-        assert np.all(nb_sample(0.5, 0.0, rng, size=10) == 0)
+        assert draw(1.0, 0.0, rng) == 0
+        assert np.all(draw(0.5, 0.0, rng, 10) == 0)
 
     def test_zero_r(self):
         rng = np.random.default_rng(0)
-        assert np.all(nb_sample(np.zeros(100), 0.5, rng) == 0)
+        assert np.all(draw(np.zeros(100), 0.5, rng, 100) == 0)
 
     def test_geometric_mean(self):
         rng = np.random.default_rng(1)
-        draws = nb_sample(1.0, 0.5, rng, size=100_000)
+        draws = draw(1.0, 0.5, rng, 100_000)
         assert draws.mean() == pytest.approx(1.0, abs=0.05)
 
     @pytest.mark.parametrize("m", [1, 4, 16])
     def test_share_sum_is_geometric(self, m):
         p = math.exp(-1.0)
         rng = np.random.default_rng(m)
-        shares = nb_sample(1.0 / m, p, rng, size=(100_000, m))
+        shares = draw(1.0 / m, p, rng, (100_000, m))
         total = shares.sum(axis=1)
         hi = 12
         observed = np.bincount(np.minimum(total, hi), minlength=hi + 1)
@@ -106,9 +111,7 @@ class TestNbSample:
             p = math.exp(-eps)
             t = dlap_threshold(p, beta)
             rng = np.random.default_rng(int(eps * 10))
-            z = nb_sample(1.0, p, rng, size=10_000) - nb_sample(
-                1.0, p, rng, size=10_000
-            )
+            z = draw(1.0, p, rng, 10_000) - draw(1.0, p, rng, 10_000)
             assert np.mean(np.abs(z) >= t) <= 1.5 * beta
 
 
@@ -150,9 +153,9 @@ def test_nb_sample_is_gamma_poisson(pattern, p, seed):
     # gamma call: this pins the numpy identities nb_sample relies on.
     r, size = pattern
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = nb_sample(r, p, rng_a, size=size)
+    got = draw(r, p, rng_a, np.shape(r) if size is None else size)
     if p == 0.0:
-        want = np.zeros(np.shape(r) if size is None else size, np.int64)
+        want = np.zeros(got.shape, np.int64)
     else:
         want = gamma_poisson(r, p, rng_b, size=size)
     assert got.dtype == np.int64
@@ -182,8 +185,8 @@ def test_nb_sample_column_of_shares_is_its_repeat(runs, bins, p, seed):
     )
     g = share.size
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = nb_sample(share[:, None], p, rng_a, size=(g, bins))
-    want = nb_sample(np.repeat(share, bins).reshape(g, bins), p, rng_b)
+    got = draw(share[:, None], p, rng_a, (g, bins))
+    want = draw(np.repeat(share, bins).reshape(g, bins), p, rng_b, (g, bins))
     assert got.shape == (g, bins)
     np.testing.assert_array_equal(got, want)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -196,9 +199,9 @@ def test_nb_sample_column_of_shares_is_its_repeat(runs, bins, p, seed):
 def test_nb_sample_out_is_the_allocating_draw(r, shares, size, p):
     # Drawn into a reused buffer, in place and Poisson block by block,
     # the draws and the generator state after them are those of the
-    # sampler's definition and of the allocating call. The buffer starts
-    # full of garbage, and the call returns it.
-    rngs = [np.random.default_rng(size) for _ in range(3)]
+    # sampler's definition, at sizes on and either side of a block's
+    # edge. The buffer starts full of garbage, and the call returns it.
+    rngs = [np.random.default_rng(size) for _ in range(2)]
     if shares == "scalar":
         r_arg, shape = r, (size,)
     else:
@@ -207,15 +210,11 @@ def test_nb_sample_out_is_the_allocating_draw(r, shares, size, p):
         r_arg = np.where(np.arange(size // 3) % 500 < 250, 1.0, r)[:, None]
         shape = (size // 3, 3)
     want = gamma_poisson(r_arg, p, rngs[0], size=shape) if p else np.zeros(shape)
-    alloc = nb_sample(r_arg, p, rngs[1], size=shape)
     out = np.full(shape, -7, dtype=np.int64)
-    got = nb_sample(r_arg, p, rngs[2], out=out)
+    got = nb_sample(r_arg, p, rngs[1], out=out)
     assert got is out
     np.testing.assert_array_equal(out, want)
-    np.testing.assert_array_equal(alloc, want)
-    if p:
-        assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
-    assert rngs[1].bit_generator.state == rngs[2].bit_generator.state
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def test_nb_sample_out_must_be_int64_c_contiguous():
@@ -223,8 +222,9 @@ def test_nb_sample_out_must_be_int64_c_contiguous():
     for out in (np.empty(4), np.empty((4, 2), np.int64)[:, 0]):
         with pytest.raises(ParameterError, match="out must be"):
             nb_sample(0.5, 0.5, rng, out=out)
-    with pytest.raises(ParameterError, match="size or out, not both"):
-        nb_sample(0.5, 0.5, rng, size=4, out=np.empty(4, np.int64))
+    # One form: the draw has no size but its buffer's shape.
+    with pytest.raises(TypeError):
+        nb_sample(0.5, 0.5, rng, size=4)
 
 
 @pytest.mark.parametrize("size", [0, 1, 2 * MIN_RUN + 1, 10_000])
@@ -246,7 +246,7 @@ def test_nb_sample_alternating_r_is_few_calls(size):
 
     r = (np.arange(size) % 2).astype(float)
     spy = Spy(np.random.default_rng(size))
-    got = nb_sample(r, 0.5, spy)
+    got = nb_sample(r, 0.5, spy, out=np.empty(size, np.int64))
     assert spy.calls <= size // MIN_RUN + 2
     want = gamma_poisson(r, 0.5, np.random.default_rng(size))
     np.testing.assert_array_equal(got, want)

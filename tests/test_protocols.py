@@ -11,7 +11,7 @@ from scipy import stats
 
 from shuffleguard.defense import Variant, make_plan
 from shuffleguard.errors import ParameterError, ProtocolError
-from shuffleguard.noise import dlap_threshold, noise_base
+from shuffleguard.noise import BLOCK, dlap_threshold, noise_base
 from shuffleguard.protocols import (
     CountProtocol,
     SumProtocol,
@@ -110,8 +110,12 @@ class TestCount:
         grouped = nb = None
         from shuffleguard.noise import nb_sample
 
-        grouped = nb_sample(np.full(20_000, 3 / 4), p, rng)
-        summed = nb_sample(1 / 4, p, rng, size=(20_000, 3)).sum(axis=1)
+        grouped = nb_sample(
+            np.full(20_000, 3 / 4), p, rng, out=np.empty(20_000, np.int64)
+        )
+        summed = nb_sample(
+            1 / 4, p, rng, out=np.empty((20_000, 3), np.int64)
+        ).sum(axis=1)
         hi = 8
         obs_a = np.bincount(np.minimum(grouped, hi), minlength=hi + 1)
         obs_b = np.bincount(np.minimum(summed, hi), minlength=hi + 1)
@@ -428,6 +432,26 @@ def test_sum_tally_levels_draw_into_two_buffers(monkeypatch):
     assert not np.shares_memory(pos, neg)
 
 
+def test_token_tally_levels_draw_into_one_block():
+    # Every level of a token tally is drawn into one block, not into
+    # noise arrays of its own: each level's tally is rows of the block
+    # that holds the bottom tally, and no two tallies overlap.
+    n = 16
+    plan = make_plan(Variant.HSDP, range_proto(u=15), n, 1.0, 0.01, 0.1)
+    xs = np.arange(n, dtype=np.int64)
+    honest = np.arange(n) != 5  # one corrupted user
+    tallies, _ = plan.base.tally_levels(
+        xs, plan.levels, np.random.default_rng(0), honest
+    )
+    assert len(tallies) == len(plan.levels) == 5
+    block = tallies[0].base
+    assert block is not None
+    for i, tally in enumerate(tallies):
+        assert np.shares_memory(tally, block)
+        for other in tallies[i + 1 :]:
+            assert not np.shares_memory(tally, other)
+
+
 @pytest.mark.parametrize(
     "proto",
     [count_proto(), sum_proto(), hist_proto(), range_proto()],
@@ -473,7 +497,8 @@ def test_tally_level_is_randomize_level_analyzed(
 @pytest.mark.parametrize("m", [1, 16, 512])
 def test_all_honest_token_noise_is_one_fill_per_sign(m):
     # Every share of an all-honest level is 1: the run search finds one
-    # run over the (groups, bins) draws, one exponential fill per sign.
+    # run over the (groups, bins) draws, one exponential fill per sign,
+    # whose means the Poisson draws then overwrite block by block.
     class Spy:
         def __init__(self, rng):
             self.rng, self.calls = rng, []
@@ -489,9 +514,10 @@ def test_all_honest_token_noise_is_one_fill_per_sign(m):
 
     proto = range_proto(u=15)
     spy = Spy(np.random.default_rng(m))
-    pos, neg = proto._noise(level(proto, 1.0, m), np.ones(2048, bool), spy)
-    assert pos.shape == neg.shape == (2048 // m, proto.bins)
-    assert spy.calls == ["standard_exponential", "poisson"] * 2
+    pos, neg = np.empty((2, 2048 // m, proto.bins), np.int64)
+    proto._noise(level(proto, 1.0, m), np.ones(2048, bool), spy, pos, neg)
+    blocks = -(-pos.size // BLOCK)
+    assert spy.calls == (["standard_exponential"] + ["poisson"] * blocks) * 2
 
 
 def test_sum_tally_exact_at_largest_modulus():
