@@ -8,14 +8,13 @@ estimate is out of range (bottom level) or inconsistent with its children
 (upper levels) is marked invalid and recovered from below, which bounds the
 damage any flooding attacker can do to the published top-level answer.
 
-A level is held as arrays throughout: ``tally_all`` draws each level's
-honest traffic as one ``(num_groups, bins)`` tally (one
-``base.tally_levels`` call over the plan's levels), and ``detect`` flags
-and recovers the whole tree from one estimate array per level, testing
-the bottom level against its threshold with ``queries.within_range``.
-``randomize_all`` and ``analyze`` are the message-level forms of the two
-(envelopes in, released multisets out) and share their draws and their
-detector.
+A level is held as arrays throughout: one ``base.tally_levels`` call
+over a plan's levels draws each level's honest traffic as one
+``(num_groups, bins)`` tally, and ``detect`` flags and recovers the whole
+tree from one estimate array per level, testing the bottom level against
+its threshold with ``queries.within_range``. ``randomize_all`` and
+``analyze`` are the message-level forms of the two (envelopes in,
+released multisets out) and share their draws and their detector.
 
 Variants:
   - base:  the raw protocol, one group of n, no detection (baseline).
@@ -270,25 +269,12 @@ def make_plan(
 # randomization
 
 
-def tally_all(
-    plan: TreePlan, xs: np.ndarray, rng, honest: np.ndarray
-) -> tuple[list[np.ndarray], int]:
-    """Every level's honest tally, bottom first, and the total honest
-    message count (for the per-user communication metric). ``honest`` is
-    the bool mask of the users who randomize their input.
-
-    Each tally is the int64 ``(num_groups, bins)`` array of
-    ``BaseProtocol.tally_levels``, which draws the plan's levels in one
-    call; no payload is materialized.
-    """
-    return plan.base.tally_levels(xs, plan.levels, rng, honest)
-
-
 def randomize_all(
     plan: TreePlan, xs: np.ndarray, tokens: TokenTable, rng, honest: np.ndarray
 ) -> tuple[list[Envelope], int]:
-    """The message-level form of ``tally_all``: the same draws as one
-    envelope per tree node, level by level, plus the honest message count."""
+    """The message-level form of ``plan.base.tally_levels``: the same
+    draws as one envelope per tree node, level by level, plus the honest
+    message count."""
     envelopes = []
     total = 0
     for lp, ids in zip(plan.levels, tokens.levels):

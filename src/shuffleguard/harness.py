@@ -23,7 +23,7 @@ import numpy as np
 
 from . import adversary as adv
 from .datasets import gen_dataset, load_csv
-from .defense import TreePlan, Variant, detect, make_plan, tally_all
+from .defense import TreePlan, Variant, detect, make_plan
 from .errors import ParameterError
 from .protocols import make_base
 from .queries import (
@@ -114,8 +114,23 @@ class ExperimentConfig:
             raise ParameterError(
                 f"--k must be at most --n, got --k {self.k} and --n {self.n}"
             )
-        # eps_eff is eps unless eps is None; delta None means n^-2.
-        if not (isinstance(self.eps_eff, numbers.Real) and self.eps_eff > 0):
+        # The largest array of a trial is the token tally's block: up to
+        # 2n rows of num_bins int64 values, 16 n num_bins bytes, and numpy
+        # sizes an array only below 2^63 bytes.
+        bins = self.make_query().num_bins
+        if self.n * bins >= 1 << 59:
+            u = f" (--u {self.u})" if self.query in ("hist", "range") else ""
+            raise ParameterError(
+                f"--n {self.n} times the query's bin count {bins}{u} is "
+                f"{self.n * bins}; it must be below 2^59"
+            )
+        # eps_eff is eps unless eps is None; delta None means n^-2. A bool
+        # is a Real, but True is no budget.
+        eps = self.eps_eff
+        if not (
+            isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+            and eps > 0
+        ):
             raise ParameterError(
                 f"--eps must be a positive number, got {self.eps!r}"
             )
@@ -169,7 +184,6 @@ class ExperimentConfig:
         if self.attack_msgs is not None:
             # A level's attack traffic, which can all reach one node, must
             # fit its int64 tally row with room for the honest tokens.
-            bins = self.make_query().num_bins
             total = self.attack_msgs * self.k * bins
             if total >= 1 << 62:
                 raise ParameterError(
@@ -217,7 +231,9 @@ class ExperimentConfig:
 
 def auto_lambda(n: int, delta: float) -> int:
     """Smallest power of two >= ceil(log2(n) * log2(1/delta)), capped at n."""
-    target = max(1, math.ceil(math.log2(max(2, n)) * math.log2(1.0 / delta)))
+    # -log2(delta), not log2(1/delta): 1/delta overflows for a subnormal
+    # delta.
+    target = max(1, math.ceil(math.log2(max(2, n)) * -math.log2(delta)))
     lam = 1 << (target - 1).bit_length()
     return min(lam, n)
 
@@ -355,7 +371,9 @@ def run_trial(
     for i in attackers:
         honest[i - 1] = False
 
-    tallies, honest_msgs = tally_all(plan, xs, rng_honest, honest)
+    tallies, honest_msgs = plan.base.tally_levels(
+        xs, plan.levels, rng_honest, honest
+    )
     rejected_msgs = malformed_msgs = 0
     for i in attackers:
         sent = adv.sends(strategy, i, plan, rng_adv, int(xs[i - 1]))

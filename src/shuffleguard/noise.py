@@ -18,10 +18,10 @@ run of r = 1 is one exponential fill, the elements between such runs
 are one per-element ``standard_gamma`` call, and the draws and the
 generator state after them are those of the one broadcast ``gamma``
 call, which costs about twice as much per element. A scalar r is one
-``standard_gamma`` fill, then times the scale. An r broadcast along
-trailing axes, such as the token protocols' ``(groups, 1)`` shares
-drawn into a ``(groups, bins)`` array, is searched for runs before it
-expands. The Poisson draw is unchanged.
+``standard_gamma`` fill, then times the scale. An array r holds one
+value per row of the draw, repeated along the row, such as the token
+protocols' per-group shares drawn into a ``(groups, bins)`` array, and
+is searched for runs before it repeats. The Poisson draw is unchanged.
 
 ``nb_sample`` has one form: it draws into a given int64 ``out``, in
 place, as numpy's ``out=`` arguments do. The gamma means go into
@@ -131,22 +131,23 @@ def nb_sample(
     """Negative binomial NB(r, p) with pmf proportional to C(k+r-1, k)(1-p)^r p^k.
 
     Sampled as a Gamma-Poisson mixture so that fractional r (= 1/m noise
-    shares) is supported; ``r`` may be an array for batched draws,
-    broadcast to the shape of ``out``, and r = 0 degenerates to the
-    constant 0. At r = 1 this is geometric(p) with mean p/(1-p). The
-    draws are written into ``out``, a C-contiguous int64 array whose
-    shape is the size of the draw, and ``out`` is returned; no array of
-    its size is allocated.
+    shares) is supported. ``r`` is a scalar, or for batched draws an
+    array of one value per row of ``out``, repeated along its row; r = 0
+    degenerates to the constant 0, and numpy refuses a negative r. At
+    r = 1 this is geometric(p) with mean p/(1-p). The draws are written
+    into ``out``, a C-contiguous int64 array whose shape is the size of
+    the draw, and ``out`` is returned; no array of its size is allocated.
 
     The draws and the generator state after them are exactly those of
     ``rng.poisson(rng.gamma(r, p/(1-p), out.shape))``, the sampler's
-    definition, but made the cheaper way the module docstring describes;
+    definition (an array r repeated along its rows), but made the
+    cheaper way the module docstring describes;
     ``tests/test_noise.py::test_nb_sample_is_gamma_poisson`` pins this.
     """
-    if np.any(np.asarray(r) < 0):
-        raise ParameterError("r must be nonnegative")
     if out.dtype != np.int64 or not out.flags.c_contiguous:
         raise ParameterError("out must be a C-contiguous int64 array")
+    if np.ndim(r) and out.shape[:1] != (np.size(r),):
+        raise ParameterError("an array r must be one value per row of out")
     if p <= 0.0:
         out.fill(0)
         return out
@@ -154,15 +155,10 @@ def nb_sample(
     if np.ndim(r) == 0:
         rng.standard_gamma(r, out=lam)
     else:
-        r = np.broadcast_to(np.asarray(r, dtype=float), lam.shape)
-        # Trailing broadcast axes repeat each r in place: the run search
-        # reads the r before they expand it, a bin-fold smaller for the
-        # token protocols' (groups, 1) column of per-group shares.
-        reps = 1
-        while r.ndim and r.shape[-1] and r.strides[-1] == 0:
-            reps *= r.shape[-1]
-            r = r[..., 0]
-        _standard_gamma(r.reshape(-1), reps, rng, lam.reshape(-1))
+        # Each r repeats along its row: the run search reads the r
+        # before they repeat, a bin-fold fewer for the token protocols.
+        reps = math.prod(out.shape[1:])
+        _standard_gamma(np.ravel(r), reps, rng, lam.reshape(-1))
     lam *= p / (1.0 - p)
     # Each block of means is read by its Poisson call before its draws
     # overwrite it.

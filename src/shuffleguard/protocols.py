@@ -386,13 +386,11 @@ class _TokenProtocol(BaseProtocol):
     def _noise(self, lp, honest, rng, pos, neg):
         """Draws level ``lp``'s noise token counts into the int64 ``(groups,
         bins)`` buffers ``pos``, then ``neg``: NB(h/m, ``lp.p``) per bin and
-        sign; h of each group's m = ``lp.group_size`` users are ``honest``."""
-        groups = _by_group(honest, lp.group_size)
-        # h/m: the float of groups.mean(axis=1), as h is exact in one.
-        share = groups.sum(axis=1, dtype=float)
-        share /= groups.shape[1]
-        nb_sample(share[:, None], lp.p, rng, out=pos)
-        nb_sample(share[:, None], lp.p, rng, out=neg)
+        sign; h of each group's m = ``lp.group_size`` users are ``honest``.
+        Each group's share h/m is one value, repeated along its row."""
+        share = _by_group(honest, lp.group_size).mean(axis=1)
+        nb_sample(share, lp.p, rng, out=pos)
+        nb_sample(share, lp.p, rng, out=neg)
 
     def _data_rows(self, xs, honest, m):
         """The ``(groups, bins)`` data token counts of the honest users:

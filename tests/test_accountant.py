@@ -6,7 +6,7 @@ level's p, so the exact epsilon of each level is at most its planned
 epsilon_i, and within 1% of it. Sensitivity is the replace-one shift
 the plan is calibrated for: 1 for count, U for sum.
 
-Law: the noise ``tally_all`` adds to a group of m users with h honest
+Law: the noise ``tally_levels`` adds to a group of m users with h honest
 members is, per bin, ``pair_pmf(h/m, p)`` at its level's p, and the
 honest message count has the law's mean. The law test computes p from
 the level's epsilon (``law_p``); that each level stores that same p,
@@ -20,7 +20,7 @@ import pytest
 from scipy import stats
 
 from accountant import level_epsilon, pair_pmf
-from shuffleguard.defense import Variant, make_plan, tally_all
+from shuffleguard.defense import Variant, make_plan
 from shuffleguard.harness import auto_lambda
 from shuffleguard.protocols import make_base
 from shuffleguard.queries import Query, QueryKind, eval_query
@@ -161,7 +161,7 @@ def test_tally_noise_has_the_accountants_law(query, variant):
     pooled = {}
     counts = []
     for _ in range(LAW_TRIALS):
-        tallies, count = tally_all(plan, xs, rng, honest)
+        tallies, count = plan.base.tally_levels(xs, plan.levels, rng, honest)
         counts.append(count)
         for lp, tally, truth, h in zip(plan.levels, tallies, truths, hs):
             res = plan.base.finish(tally) - truth

@@ -14,7 +14,6 @@ from shuffleguard.defense import (
     detect,
     make_plan,
     randomize_all,
-    tally_all,
 )
 from shuffleguard.errors import ParameterError, StructureError
 from shuffleguard.harness import ExperimentConfig, run_trial
@@ -350,7 +349,7 @@ def test_noiseless_tallies_are_honest_answers(variant, query, n, seed):
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, query.max_input + 1, size=n)
     honest = rng.random(n) < rng.random()
-    tallies, _ = tally_all(plan, xs, rng, honest)
+    tallies, _ = plan.base.tally_levels(xs, plan.levels, rng, honest)
     assert len(tallies) == len(plan.levels)
     for lp, tally in zip(plan.levels, tallies):
         m = lp.group_size
@@ -371,7 +370,7 @@ def test_noiseless_tallies_are_honest_answers(variant, query, n, seed):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_tally_all_is_each_levels_data_rows_plus_noise(variant, query, seed):
-    # tally_all sums each level's data rows up from the level below; a
+    # tally_levels sums each level's data rows up from the level below; a
     # loop that rebuilds every level's rows from all users, under the
     # same seed, must give the same tallies, counts and generator state.
     n = 16
@@ -383,7 +382,7 @@ def test_tally_all_is_each_levels_data_rows_plus_noise(variant, query, seed):
     xs = rng.integers(0, query.max_input + 1, size=n)
     honest = rng.random(n) < rng.random()
     got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
-    tallies, count = tally_all(plan, xs, got_rng, honest)
+    tallies, count = base.tally_levels(xs, plan.levels, got_rng, honest)
     want_count = 0
     assert len(tallies) == len(plan.levels)
     for lp, tally in zip(plan.levels, tallies):

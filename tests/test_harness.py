@@ -555,6 +555,8 @@ class TestCli:
              "--n must be an integer of at least 1, got 0"),
             (["run", "--config", {"eps": "x"}],
              "--eps must be a positive number, got 'x'"),
+            (["run", "--config", {"eps": True}],
+             "--eps must be a positive number, got True"),
             (["run", "--config", {"k": 1.5}],
              "--k must be an integer of at least 0, got 1.5"),
             (["run", "--eps", "nan"], "--eps must be a positive number, got nan"),
@@ -624,7 +626,8 @@ class TestCli:
         ids=[
             "lambda-foo", "lambda-0", "attack-msgs-negative", "n-0",
             "n-negative", "trials-0", "sweep-values-a", "sweep-eps-x",
-            "sweep-n-0", "config-eps-str", "config-k-fraction", "eps-nan",
+            "sweep-n-0", "config-eps-str", "config-eps-bool",
+            "config-k-fraction", "eps-nan",
             "seed-negative", "khat-negative", "delta-0", "config-lam-fraction",
             "config-n-bool", "config-query", "config-protocol",
             "config-attack", "config-dist", "config-format", "n-1-delta",
@@ -715,6 +718,56 @@ class TestCli:
         assert err.startswith(f"error: --attack-msgs {msgs} times --k {k} ")
         assert "must be below 2^62" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "query,u,protocol,n,refused",
+        [
+            ("count", 1, "susdp", 1 << 58, False),
+            ("count", 1, "susdp", 1 << 59, True),
+            ("count", 1, "susdp", 1 << 62, True),
+            # hist U has U + 1 bins
+            ("hist", 1 << 56, "ohsdp", 4, False),
+            ("hist", (1 << 57) - 1, "ohsdp", 4, True),
+            ("hist", (1 << 62) - 1, "ohsdp", 4, True),
+            ("range", (1 << 62) - 1, "ohsdp", 64, True),
+        ],
+    )
+    def test_size_numpy_cannot_hold_is_refused(
+        self, query, u, protocol, n, refused, capsys, monkeypatch
+    ):
+        # A trial's largest array, the token tally's block, holds up to
+        # 2n rows of num_bins int64 values: n * num_bins must stay below
+        # 2^59 for numpy to size it. Beyond that the config is refused,
+        # naming --n (and --u where it sets the bins), before any trial.
+        from shuffleguard import cli
+
+        def no_experiment(*args, **kwargs):
+            raise AssertionError("an experiment started on bad input")
+
+        monkeypatch.setattr(cli, "run_experiment", no_experiment)
+        fields = dict(query=query, u=u, protocol=protocol, n=n, delta=0.01)
+        if not refused:
+            ExperimentConfig(**fields)
+            return
+        with pytest.raises(ParameterError, match="must be below 2\\^59"):
+            ExperimentConfig(**fields)
+        rc = cli.main(["run", *(f"--{f}={v}" for f, v in fields.items())])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --n {n} times the query's bin count ")
+        if query != "count":
+            assert f"(--u {u})" in err
+        assert len(err.splitlines()) == 1
+
+    def test_subnormal_delta_plans(self, capsys):
+        # 1/delta overflows for a subnormal delta; -log2(delta) does not,
+        # and lambda caps at n.
+        from shuffleguard.cli import main
+
+        assert auto_lambda(64, 1e-320) == 64
+        rc = main(["run", "--n", "64", "--trials", "1", "--delta", "1e-320"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "argv",

@@ -123,8 +123,9 @@ def gamma_poisson(r, p, rng, size=None):
 @st.composite
 def r_patterns(draw):
     """(r, size) as the protocols pass them: a scalar share 1/m with a
-    size, or a (groups, bins) broadcast view of hcount/m whose runs of 0,
-    1 and fractions are long, short or alternating."""
+    size, or a (groups, 1) column of hcount/m, one share per row of a
+    (groups, bins) draw, whose runs of 0, 1 and fractions are long,
+    short or alternating."""
     if draw(st.booleans()):
         m = draw(st.sampled_from([1, 2, 3, 512]))
         r = draw(st.sampled_from([0.0, 1.0, 1.0 / m]))
@@ -139,7 +140,7 @@ def r_patterns(draw):
         [k for _, k in runs],
     )
     bins = draw(st.sampled_from([1, 3]))
-    return np.broadcast_to((hcount / m)[:, None], (hcount.size, bins)), None
+    return (hcount / m)[:, None], (hcount.size, bins)
 
 
 @settings(max_examples=150, deadline=None)
@@ -176,17 +177,18 @@ def test_nb_sample_is_gamma_poisson(pattern, p, seed):
 @example(runs=[(4, 1)], bins=31, p=0.5, seed=0)  # g = 1, one short run
 @example(runs=[(0, 3), (4, 22), (2, 1)], bins=3, p=0.5, seed=1)
 def test_nb_sample_column_of_shares_is_its_repeat(runs, bins, p, seed):
-    # A (groups, 1) column of shares drawn at size (groups, bins) is the
-    # draw of the repeated shares: the run search on the column scales
-    # each run by bins, so a run too short for an exponential fill
-    # before the repeat (22 or 3 shares) may reach MIN_RUN after it.
+    # One share per group drawn at size (groups, bins), as _noise draws
+    # it, is the flat draw of the repeated shares: the run search on the
+    # shares scales each run by bins, so a run too short for an
+    # exponential fill before the repeat (22 or 3 shares) may reach
+    # MIN_RUN after it.
     share = np.repeat(
         np.array([h / 4 for h, _ in runs]), [k for _, k in runs]
     )
     g = share.size
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = draw(share[:, None], p, rng_a, (g, bins))
-    want = draw(np.repeat(share, bins).reshape(g, bins), p, rng_b, (g, bins))
+    got = draw(share, p, rng_a, (g, bins))
+    want = draw(np.repeat(share, bins), p, rng_b, g * bins).reshape(g, bins)
     assert got.shape == (g, bins)
     np.testing.assert_array_equal(got, want)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -215,6 +217,19 @@ def test_nb_sample_out_is_the_allocating_draw(r, shares, size, p):
     assert got is out
     np.testing.assert_array_equal(out, want)
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("r_shape", [(3,), (2, 3), (6,)])
+def test_nb_sample_array_r_is_one_value_per_row(r_shape):
+    # An r that is not one value per row of out would be drawn in the
+    # wrong order, so it is refused, not broadcast.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="one value per row"):
+        nb_sample(
+            np.full(r_shape, 0.5), 0.5, rng, out=np.empty((2, 3), np.int64)
+        )
+    assert rng.bit_generator.state == state
 
 
 def test_nb_sample_out_must_be_int64_c_contiguous():
