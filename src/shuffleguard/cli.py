@@ -55,7 +55,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attack", choices=CHOICES["attack"])
     p.add_argument("--attack-msgs", dest="attack_msgs", type=int)
     p.add_argument("--dist", choices=CHOICES["dist"])
-    p.add_argument("--data", help="CSV dataset path (overrides --dist)")
+    p.add_argument("--data", help="CSV dataset path, in place of --dist")
     p.add_argument("--col", help="CSV column name or index")
     p.add_argument("--cap", type=int)
     p.add_argument("--trials", type=int)

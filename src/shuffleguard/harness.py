@@ -145,42 +145,36 @@ class ExperimentConfig:
                     f"{flag} must be a number in (0, 1), got {value!r}"
                 )
         # An input the run would ignore is refused, naming the field that
-        # makes it meaningless. k = 0 under an attack stays: it is the
-        # attack-free point of a sweep over k.
-        if self.query == "count" and self.u != 1:
-            raise ParameterError(
-                f"--u applies only to sum, hist and range, got --query count "
-                f"--u {self.u}"
-            )
-        if self.protocol != "ohsdp":
-            for flag, given in (("--lambda", self.lam != "auto"),
-                                ("--khat", self.k_hat is not None)):
-                if given:
-                    raise ParameterError(
-                        f"{flag} applies only to --protocol ohsdp, got "
-                        f"--protocol {self.protocol}"
-                    )
-        # With no attack, k >= 1 corrupts nobody. It still sets k_hat's
-        # default under ohsdp without --khat, and a sweep over k is the one
-        # sweep over k_hat, so that case stays.
-        if self.attack == "none" and self.k >= 1 and (
-            self.protocol != "ohsdp" or self.k_hat is not None
+        # makes it meaningless: a sweep along it would print a flat curve
+        # as if it were a finding. With no attack, k >= 1 corrupts nobody,
+        # but under ohsdp without --khat it sets k_hat's default, and a
+        # sweep over k is the one sweep over k_hat, so its row allows that.
+        ohsdp, has_data = self.protocol == "ohsdp", self.data is not None
+        not_ohsdp = f", got --protocol {self.protocol}"
+        unset = ", which is not given"
+        k_unused_by = (f"--khat {self.k_hat}" if ohsdp
+                       else f"--protocol {self.protocol}")
+        defaults = {f.name: f.default for f in fields(self)}
+        for name, flag, used, where, got in (
+            ("u", "--u", self.query != "count", "to sum, hist and range",
+             f", got --query count --u {self.u}"),
+            ("lam", "--lambda", ohsdp, "to --protocol ohsdp", not_ohsdp),
+            ("k_hat", "--khat", ohsdp, "to --protocol ohsdp", not_ohsdp),
+            ("k", "--k", self.attack != "none" or ohsdp and self.k_hat is None,
+             "with an --attack or as the default of --khat",
+             f", got --attack none and {k_unused_by}"),
+            ("attack_msgs", "--attack-msgs",
+             self.attack in ("flood", "impersonate"),
+             "to --attack flood or impersonate",
+             f", got --attack {self.attack}"),
+            ("cap", "--cap", has_data, "with --data", unset),
+            ("col", "--col", has_data, "with --data", unset),
+            ("dist", "--dist", not has_data, "without --data",
+             f", got --data {self.data}"),
+            ("format", "--format", self.out is not None, "with --out", unset),
         ):
-            given = (
-                f"--protocol {self.protocol}" if self.protocol != "ohsdp"
-                else f"--khat {self.k_hat}"
-            )
-            raise ParameterError(
-                f"--k applies only with an --attack or as the default of "
-                f"--khat, got --attack none and {given}"
-            )
-        if self.attack_msgs is not None and self.attack not in (
-            "flood", "impersonate"
-        ):
-            raise ParameterError(
-                f"--attack-msgs applies only to --attack flood or "
-                f"impersonate, got --attack {self.attack}"
-            )
+            if not used and getattr(self, name) != defaults[name]:
+                raise ParameterError(f"{flag} applies only {where}{got}")
         if self.attack_msgs is not None:
             # A level's attack traffic, which can all reach one node, must
             # fit its int64 tally row with room for the honest tokens.
@@ -191,12 +185,6 @@ class ExperimentConfig:
                     f"times the query's bin count {bins} is {total} "
                     f"messages per level; it must be below 2^62"
                 )
-        if self.data is None:
-            for flag, value in (("--cap", self.cap), ("--col", self.col)):
-                if value is not None:
-                    raise ParameterError(
-                        f"{flag} applies only with --data, which is not given"
-                    )
         # make_plan refuses this too, but its message names no flag.
         lam, k_hat = resolve_lambda(self), self.k_hat_eff
         if self.protocol == "ohsdp" and k_hat >= 1 and lam <= 2 * k_hat:

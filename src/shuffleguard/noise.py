@@ -82,8 +82,11 @@ def dlap_threshold(p: float, beta: float) -> int:
         raise ParameterError("beta must be in (0, 1)")
     if p == 0.0:  # noiseless limit: |Z| >= 1 has probability zero
         return 1
-    # 2 p^t / (1+p) <= beta  <=>  t >= log(beta (1+p) / 2) / log(p)
-    t = max(1, math.ceil(math.log(beta * (1.0 + p) / 2.0) / math.log(p)))
+    # 2 p^t / (1+p) <= beta  <=>  t >= log(beta (1+p) / 2) / log(p), the
+    # log split in two: beta (1+p) / 2 underflows to 0 for a subnormal beta.
+    t = max(1, math.ceil(
+        (math.log(beta) + math.log((1.0 + p) / 2.0)) / math.log(p)
+    ))
     # Guard against float rounding at the boundary.
     while t > 1 and dlap_tail(t - 1, p) <= beta:
         t -= 1

@@ -459,7 +459,7 @@ class _TokenProtocol(BaseProtocol):
         return p, self.per_user * dlap_threshold(p, beta / self.bins)
 
     def bits_per_msg(self):
-        return int(math.ceil(math.log2(self.bins))) + 1 if self.bins > 1 else 1
+        return int(math.ceil(math.log2(self.bins))) + 1
 
 
 class CountProtocol(_TokenProtocol):

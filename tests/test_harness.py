@@ -604,6 +604,12 @@ class TestCli:
              "--col applies only with --data, which is not given"),
             (["run", "--config", {"col": 0}],
              "--col applies only with --data, which is not given"),
+            (["run", "--dist", "zipf", "--data", "one.csv"],
+             "--dist applies only without --data, got --data one.csv"),
+            (["run", "--config", {"dist": "gauss", "data": "one.csv"}],
+             "--dist applies only without --data, got --data one.csv"),
+            (["run", "--format", "json"],
+             "--format applies only with --out, which is not given"),
             (["run", "--protocol", "susdp", "--k", "65", "--attack", "flood"],
              "--k must be at most --n, got --k 65 and --n 64"),
             (["run", "--k", "65", "--attack", "flood"],
@@ -634,7 +640,8 @@ class TestCli:
             "config-n-1-delta", "ohsdp-n-2-delta", "hsdp-lambda",
             "sweep-lambda-bsdp", "hsdp-khat", "attack-msgs-none",
             "attack-msgs-drop", "attack-msgs-alter", "cap-without-data",
-            "col-without-data", "config-col-without-data", "susdp-k-above-n",
+            "col-without-data", "config-col-without-data", "dist-with-data",
+            "config-dist-with-data", "format-without-out", "susdp-k-above-n",
             "ohsdp-k-above-n", "base-k-without-attack",
             "susdp-k-without-attack", "bsdp-k-without-attack",
             "hsdp-k-without-attack", "ohsdp-khat-k-without-attack",
@@ -766,6 +773,15 @@ class TestCli:
 
         assert auto_lambda(64, 1e-320) == 64
         rc = main(["run", "--n", "64", "--trials", "1", "--delta", "1e-320"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+    def test_subnormal_beta_plans(self, capsys):
+        # The least subnormal beta plans too: its threshold is a log, not
+        # the log of a product that underflows to 0.
+        from shuffleguard.cli import main
+
+        rc = main(["run", "--n", "64", "--trials", "1", "--beta", "5e-324"])
         assert rc == 0
         assert capsys.readouterr().err == ""
 

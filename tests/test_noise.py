@@ -54,6 +54,14 @@ class TestThreshold:
         p = noise_base(eps, sens)
         assert dlap_threshold(p, beta) == threshold_oracle(eps, sens, beta)
 
+    @pytest.mark.parametrize("p", [0.01, math.exp(-1.0), 0.5, 0.99])
+    def test_subnormal_beta(self, p):
+        # beta (1+p) / 2 underflows to 0 for the least subnormal beta, and
+        # its logarithm would be a math domain error.
+        beta = 5e-324
+        t = dlap_threshold(p, beta)
+        assert dlap_tail(t, p) <= beta < dlap_tail(t - 1, p)
+
     def test_noiseless_limit(self):
         assert dlap_threshold(noise_base(math.inf, 1), 0.1) == 1
 
