@@ -248,14 +248,20 @@ def make_plan(
     lower = sum(n // m for m in sizes[:-1])
     levels = []
     for i, m in enumerate(sizes):
-        if top == 0:
-            budget = PrivacyBudget(
-                total.epsilon, total.delta, total.beta / (n // m)
+        beta_i = total.beta / (
+            n // m if top == 0 else 2 if i == top else 2 * lower
+        )
+        # A token protocol's law splits a node's beta over its bins.
+        if not beta_i / base.query.num_bins > 0:
+            raise ParameterError(
+                f"beta {beta} is too small: its share per node and bin "
+                f"rounds to 0"
             )
+        if top == 0:
+            budget = PrivacyBudget(total.epsilon, total.delta, beta_i)
         else:
             budget = PrivacyBudget(
-                share(total.epsilon, i), share(total.delta, i),
-                total.beta / 2 if i == top else total.beta / (2 * lower),
+                share(total.epsilon, i), share(total.delta, i), beta_i
             )
         p, theta = base.law(budget.epsilon, budget.beta)
         levels.append(LevelPlan(

@@ -75,8 +75,9 @@ class ExperimentConfig:
         # file may hold any JSON value: a misspelt attack would run as no
         # attack, n = 0 would divide by zero in planning, trials = 0 would
         # summarize no trial as a row of nans, NaN passes every `<=`
-        # check, and a string, bool or fraction where an integer belongs
-        # would fail deep inside a trial.
+        # check, a string, bool or fraction where an integer belongs
+        # would fail deep inside a trial, and --data or --out that is no
+        # path string, or is "", would fail in open() or write nothing.
         for name, names in CHOICES.items():
             if getattr(self, name) not in names:
                 raise ParameterError(f"unknown {name} {getattr(self, name)!r}")
@@ -95,21 +96,19 @@ class ExperimentConfig:
             )
             if value not in (None, "auto")
         ]
+        # U is the sum protocol's sensitivity: U = 0 sets no noise scale.
+        ints.append(("--u", self.u, 1 if self.query == "sum" else 0))
         for flag, value, least in ints:
             if not (_is_int(value) and value >= least):
                 raise ParameterError(
                     f"{flag} must be an integer of at least {least}, "
                     f"got {value!r}"
                 )
-        if not _is_int(self.u):
-            raise ParameterError(f"--u must be an integer, got {self.u!r}")
-        if self.query == "sum" and self.u < 1:
-            # U is the sum protocol's sensitivity: U = 0 sets no noise scale.
-            raise ParameterError(
-                f"--u must be at least 1 for sum, got {self.u}"
-            )
-        if self.u < 0:
-            raise ParameterError(f"--u must be nonnegative, got {self.u}")
+        for flag, value in (("--data", self.data), ("--out", self.out)):
+            if not (value is None or isinstance(value, str) and value):
+                raise ParameterError(
+                    f"{flag} must be a file path, got {value!r}"
+                )
         if self.k > self.n:
             raise ParameterError(
                 f"--k must be at most --n, got --k {self.k} and --n {self.n}"

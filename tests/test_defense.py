@@ -369,7 +369,9 @@ def test_noiseless_tallies_are_honest_answers(variant, query, n, seed):
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_tally_all_is_each_levels_data_rows_plus_noise(variant, query, seed):
+def test_tally_levels_is_each_levels_data_rows_plus_noise(
+    variant, query, seed
+):
     # tally_levels sums each level's data rows up from the level below; a
     # loop that rebuilds every level's rows from all users, under the
     # same seed, must give the same tallies, counts and generator state.

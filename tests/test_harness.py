@@ -628,6 +628,38 @@ class TestCli:
              "got --attack none and --khat 3"),
             (["sweep", "--axis", "k", "--values", "0,1", "--protocol", "hsdp"],
              "got --attack none and --protocol hsdp"),
+            (["run", "--query", "count", "--u", "-1"],
+             "--u must be an integer of at least 0, got -1"),
+            (["run", "--query", "hist", "--u", "-1"],
+             "--u must be an integer of at least 0, got -1"),
+            (["run", "--query", "range", "--u", "-3"],
+             "--u must be an integer of at least 0, got -3"),
+            (["run", "--query", "sum", "--u", "0"],
+             "--u must be an integer of at least 1, got 0"),
+            (["run", "--config", {"query": "sum", "u": "x"}],
+             "--u must be an integer of at least 1, got 'x'"),
+            # Count's inputs are bits: a U it would ignore is refused.
+            (["run", "--query", "count", "--u", "7"],
+             "--u applies only to sum, hist and range, got --query count "
+             "--u 7"),
+            (["run", "--config", {"data": 5}],
+             "--data must be a file path, got 5"),
+            (["run", "--config", {"data": ""}],
+             "--data must be a file path, got ''"),
+            (["run", "--config", {"out": 5}],
+             "--out must be a file path, got 5"),
+            (["run", "--out", "", "--format", "json"],
+             "--out must be a file path, got ''"),
+            (["run", "--data", "one.csv", "--col", "5"],
+             "--col '5' not found in --data one.csv: no row has a number "
+             "there"),
+            (["run", "--protocol", "bsdp", "--n", "1", "--delta", "0.01"],
+             "bsdp needs n >= 4 (sqrt(n) >= 2), got n=1"),
+            (["run", "--protocol", "hsdp", "--beta", "5e-324"],
+             "beta 5e-324 is too small: its share per node and bin rounds "
+             "to 0"),
+            (["run", "--query", "hist", "--u", "7", "--beta", "5e-324"],
+             "rounds to 0"),
         ],
         ids=[
             "lambda-foo", "lambda-0", "attack-msgs-negative", "n-0",
@@ -645,21 +677,28 @@ class TestCli:
             "ohsdp-k-above-n", "base-k-without-attack",
             "susdp-k-without-attack", "bsdp-k-without-attack",
             "hsdp-k-without-attack", "ohsdp-khat-k-without-attack",
-            "sweep-k-hsdp-without-attack",
+            "sweep-k-hsdp-without-attack", "count-u-negative",
+            "hist-u-negative", "range-u-negative", "sum-u-0",
+            "config-sum-u-str", "count-u-7", "config-data-int",
+            "config-data-empty", "config-out-int", "out-empty",
+            "col-past-every-row", "bsdp-n-1", "hsdp-beta-subnormal",
+            "ohsdp-hist-beta-subnormal",
         ],
     )
     def test_bad_ingress_is_one_line(
         self, argv, needle, tmp_path, capsys, monkeypatch
     ):
+        # A new refusal is one parameter here: one line, exit code 2, no
+        # trial run and no file written. The dataset and the plan are
+        # checked before the first trial, so their refusals count too.
         from shuffleguard import cli
 
-        def no_experiment(*args, **kwargs):
-            raise AssertionError("an experiment started on bad input")
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran on bad input")
 
-        # sweep runs its experiments through harness.run_experiment.
-        monkeypatch.setattr(cli, "run_experiment", no_experiment)
-        monkeypatch.setattr(harness, "run_experiment", no_experiment)
+        monkeypatch.setattr(harness, "run_trial", no_trial)
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "one.csv").write_text("1\n2\n")
         common = {"protocol": "ohsdp", "n": 64, "trials": 2}
         argv = list(argv)
         for i, arg in enumerate(argv):
@@ -678,7 +717,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err
         assert len(err.splitlines()) == 1
-        assert {p.name for p in tmp_path.iterdir()} <= {"c.json"}
+        assert {p.name for p in tmp_path.iterdir()} <= {"c.json", "one.csv"}
 
     @pytest.mark.parametrize(
         "query,u,k,attack,msgs,refused",
@@ -944,28 +983,6 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: epsilon ") and "rounds to 1" in err
-        assert len(err.splitlines()) == 1
-
-    @pytest.mark.parametrize(
-        "query,u,needle",
-        [("count", "-1", "must be nonnegative, got -1"),
-         ("hist", "-1", "must be nonnegative, got -1"),
-         ("range", "-3", "must be nonnegative, got -3"),
-         ("sum", "0", "--u must be at least 1 for sum, got 0"),
-         # Count's inputs are bits: a U it would ignore is refused.
-         ("count", "7", "applies only to sum, hist and range, got --query "
-                        "count --u 7")],
-    )
-    def test_bad_domain_size_is_one_line(self, query, u, needle, capsys):
-        from shuffleguard.cli import main
-
-        rc = main([
-            "run", "--query", query, "--u", u, "--n", "64", "--trials", "2",
-        ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        # Every message names the flag; the needles then pin the rest.
-        assert err.startswith("error: --u ") and needle in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
