@@ -103,7 +103,7 @@ class TreePlan:
     def num_children(self, r: int) -> int:
         return self.levels[r - 1].group_size // self.levels[r - 2].group_size
 
-    def pair_threshold(self, r: int) -> float:
+    def pair_threshold(self, r: int) -> int:
         """Detection bound on |parent - sum of children| at level r."""
         return (
             self.num_children(r) * self.levels[r - 2].theta
@@ -318,6 +318,11 @@ def detect(plan: TreePlan, levels: list[np.ndarray]) -> tuple:
     recovered values (an int for scalar queries, an int64 vector
     otherwise). Returns (answer, DetectionReport), with flagged nodes
     bottom level first.
+
+    ``levels`` is only read. The bottom level recovers as one masked
+    product, or as itself when no group is flagged; each level above sums its children's recovered rows into a
+    new array, takes |estimate - child sums| in one temporary, and
+    copies its valid rows' estimates over the child sums.
     """
     q = plan.query
     bins = q.num_bins
@@ -325,15 +330,20 @@ def detect(plan: TreePlan, levels: list[np.ndarray]) -> tuple:
     valid = np.ones(bottom.num_groups, dtype=bool)
     if plan.detects:
         valid = within_range(q, bottom.group_size, levels[0], bottom.theta)
-    rec = np.where(valid[:, None], levels[0], 0)
+    # No level's recovery is written in place, so a bottom level with no
+    # flagged group is its own recovery.
+    rec = levels[0] if valid.all() else levels[0] * valid[:, None]
     valids = [valid]
     for lp, level in zip(plan.levels[1:], levels[1:]):
         c = plan.num_children(lp.r)
-        child_sum = rec.reshape(lp.num_groups, c, bins).sum(axis=1)
+        # einsum sums the short children axis about twice as fast as sum.
+        rec = np.einsum("gcb->gb", rec.reshape(lp.num_groups, c, bins))
+        gap = level - rec
+        np.abs(gap, out=gap)
         valid = valid.reshape(lp.num_groups, c).all(axis=1) & (
-            np.abs(level - child_sum).max(axis=1) <= plan.pair_threshold(lp.r)
+            gap.max(axis=1) <= plan.pair_threshold(lp.r)
         )
-        rec = np.where(valid[:, None], level, child_sum)
+        np.copyto(rec, level, where=valid[:, None])
         valids.append(valid)
 
     flagged = [

@@ -18,7 +18,9 @@ run of r = 1 is one exponential fill, the elements between such runs
 are one per-element ``standard_gamma`` call, and the draws and the
 generator state after them are those of the one broadcast ``gamma``
 call, which costs about twice as much per element. A scalar r is one
-``standard_gamma`` fill, then times the scale. An array r holds one
+fill, then times the scale: at r = 1, as for a token level with no
+corrupted user, one exponential fill with no run search, and otherwise
+one ``standard_gamma`` fill. An array r holds one
 value per row of the draw, repeated along the row, such as the token
 protocols' per-group shares drawn into a ``(groups, bins)`` array, and
 is searched for runs before it repeats. The Poisson draw is unchanged.
@@ -140,6 +142,8 @@ def nb_sample(
     r = 1 this is geometric(p) with mean p/(1-p). The draws are written
     into ``out``, a C-contiguous int64 array whose shape is the size of
     the draw, and ``out`` is returned; no array of its size is allocated.
+    A scalar r = 1 is one ``standard_exponential`` fill, and an array r
+    is searched for runs of 1 (``_standard_gamma``).
 
     The draws and the generator state after them are exactly those of
     ``rng.poisson(rng.gamma(r, p/(1-p), out.shape))``, the sampler's
@@ -156,7 +160,10 @@ def nb_sample(
         return out
     lam = out.view(np.float64)
     if np.ndim(r) == 0:
-        rng.standard_gamma(r, out=lam)
+        if r == 1.0:
+            rng.standard_exponential(out=lam)
+        else:
+            rng.standard_gamma(r, out=lam)
     else:
         # Each r repeats along its row: the run search reads the r
         # before they repeat, a bin-fold fewer for the token protocols.

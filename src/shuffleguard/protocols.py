@@ -23,7 +23,11 @@ Because the shares of the honest members of one group are exchangeable and
 only their sum is observable after shuffling, the level-wide randomizers
 below draw each group's honest noise total in one shot as NB(h/m, p),
 where h is the number of honest contributors; this is distributionally
-identical to h independent per-user draws.
+identical to h independent per-user draws. The token protocols pass one
+share h/m per group. The shares come from the corrupted users, not from
+a reduction over all n: a group holding d of them has h = m - d, and a
+level with none passes the scalar share 1. The sum protocol's per-group
+honest counts come from the corrupted users the same way.
 
 Each protocol has one ``fold``: any payload multiset ``(codes, counts)``
 to an additive int64 ``(bins,)`` row (a signed per-bin tally, or a
@@ -47,7 +51,8 @@ users), and then takes one of two forms:
     one call. No payload is materialized; envelopes' fold rows add to
     its rows. The token protocols take the bottom level's data-token
     rows from one ``bins_of`` over all users less the corrupted users'
-    units, and each level above sums them from its children's rows.
+    units, and each level above sums them from its children's rows, in
+    place in the bottom level's rows.
     They draw every level's noise into one block, a level's tally and
     then its negative draws in the block's next rows, and add each
     level's rows to its tally in place.
@@ -129,13 +134,21 @@ def unit_counts(payloads: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.int64(1), payloads.shape)
 
 
-def _by_group(honest: np.ndarray, m: int) -> np.ndarray:
-    """The honest mask as one row per group of m users, groups contiguous."""
-    if m < 1 or honest.size % m:
-        raise ParameterError(
-            f"{honest.size} users do not split into groups of {m}"
-        )
-    return honest.reshape(-1, m)
+def _partial_groups(
+    others: np.ndarray, n: int, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The groups of m users, of n users in contiguous groups, that hold
+    any of the corrupted users ``others`` (their indices, ascending),
+    and how many each holds. Every other group is wholly honest."""
+    if m < 1 or n % m:
+        raise ParameterError(f"{n} users do not split into groups of {m}")
+    groups = others // m
+    if not groups.size:  # the common all-honest level
+        return groups, groups
+    # others ascend, so each partial group is one run: no sort, which
+    # would also fault in numpy's sort code on a trial's first call.
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    return groups[starts], np.diff(starts, append=groups.size)
 
 
 def _skip_integers(rng, q: int, count: int) -> None:
@@ -297,8 +310,17 @@ class SumProtocol(BaseProtocol):
         pos &= self.modulus - 1  # q is a power of two: this is mod q
         return pos
 
+    @staticmethod
+    def _hcount(others, n, m):
+        """Each group's count of honest users, groups of m of the n users,
+        from the corrupted users ``others`` (ascending indices)."""
+        groups, corrupted = _partial_groups(others, n, m)
+        hcount = np.full(n // m, m)
+        hcount[groups] -= corrupted
+        return hcount
+
     def randomize_level(self, xs, lp, rng, honest):
-        hcount = _by_group(honest, lp.group_size).sum(axis=1)
+        hcount = self._hcount(np.flatnonzero(~honest), xs.size, lp.group_size)
         xh = xs[honest]
         totals = self._draw(xh, lp, rng, *np.empty((2, xh.size), np.int64))
         # Uniform residues split each total into shares; the last share
@@ -318,11 +340,12 @@ class SumProtocol(BaseProtocol):
         # faults per flat-sum-flood trial, against about 350 with two
         # separate buffers).
         xh = xs[honest]
+        others = np.flatnonzero(~honest)
         pos, neg = np.empty((2, xh.size), np.int64)
         msgs = xh.size * self.shares  # per level
         tallies = []
         for lp in levels:
-            hcount = _by_group(honest, lp.group_size).sum(axis=1)
+            hcount = self._hcount(others, xs.size, lp.group_size)
             totals = self._draw(xh, lp, rng, pos, neg)
             # The residues leave no trace in the sums below, so they are
             # skipped, not drawn.
@@ -383,18 +406,30 @@ class _TokenProtocol(BaseProtocol):
         self.per_user = bins_of(query, np.array([query.max_input]))[0].size
         self.top = np.arange(1, self.bins + 1, dtype=np.int64)
 
-    def _noise(self, lp, honest, rng, pos, neg):
+    def _noise(self, lp, honest, rng, pos, neg, others=None):
         """Draws level ``lp``'s noise token counts into the int64 ``(groups,
         bins)`` buffers ``pos``, then ``neg``: NB(h/m, ``lp.p``) per bin and
         sign; h of each group's m = ``lp.group_size`` users are ``honest``.
-        Each group's share h/m is one value, repeated along its row."""
-        share = _by_group(honest, lp.group_size).mean(axis=1)
+        Each group's share h/m is one value, repeated along its row. The
+        shares come from the corrupted users, ``others`` (ascending
+        indices, ``np.flatnonzero(~honest)`` when not given): a group
+        holding d of them has share (m - d)/m, and a level with none
+        passes the scalar share 1."""
+        m = lp.group_size
+        if others is None:
+            others = np.flatnonzero(~honest)
+        share = 1.0
+        groups, corrupted = _partial_groups(others, honest.size, m)
+        if groups.size:
+            share = np.ones(honest.size // m)
+            share[groups] = (m - corrupted) / m
         nb_sample(share, lp.p, rng, out=pos)
         nb_sample(share, lp.p, rng, out=neg)
 
-    def _data_rows(self, xs, honest, m):
+    def _data_rows(self, xs, honest, m, others=None):
         """The ``(groups, bins)`` data token counts of the honest users:
-        the units ``bins_of`` gives all users, less the others' units."""
+        the units ``bins_of`` gives all users, less the units of the
+        others (``np.flatnonzero(~honest)`` when not given)."""
         b = self.bins
         owner, col = bins_of(self.query, xs)
         # The cell of a unit is its owner's group times b plus its bin.
@@ -402,15 +437,17 @@ class _TokenProtocol(BaseProtocol):
         owner *= b
         owner += col
         rows = np.bincount(owner, minlength=xs.size // m * b)
-        others = np.flatnonzero(~honest)
+        if others is None:
+            others = np.flatnonzero(~honest)
         owner, col = bins_of(self.query, xs[others])
         np.subtract.at(rows, others[owner] // m * b + col, 1)
         return rows.reshape(-1, b)
 
     def randomize_level(self, xs, lp, rng, honest):
         pos, neg = np.empty((2, xs.size // lp.group_size, self.bins), np.int64)
-        self._noise(lp, honest, rng, pos, neg)
-        pos += self._data_rows(xs, honest, lp.group_size)
+        others = np.flatnonzero(~honest)
+        self._noise(lp, honest, rng, pos, neg, others)
+        pos += self._data_rows(xs, honest, lp.group_size, others)
         return _emit_codes(np.hstack([pos, neg]))
 
     def tally_levels(self, xs, levels, rng, honest):
@@ -422,6 +459,7 @@ class _TokenProtocol(BaseProtocol):
         ends = np.cumsum(sizes).tolist()
         height = max((e + g for e, g in zip(ends, sizes)), default=0)
         block = np.empty((height, self.bins), np.int64)
+        others = np.flatnonzero(~honest)
         # Only the bottom level's data rows come from the users' units;
         # every level above sums its children's rows, which is exact as
         # each of its groups is a run of whole groups below.
@@ -430,13 +468,25 @@ class _TokenProtocol(BaseProtocol):
         rows = None
         for lp, end, g in zip(levels, ends, sizes):
             tally, neg = block[end - g : end], block[end : end + g]
-            self._noise(lp, honest, rng, tally, neg)
+            self._noise(lp, honest, rng, tally, neg, others)
             if rows is None:
-                rows = self._data_rows(xs, honest, lp.group_size)
+                rows = self._data_rows(xs, honest, lp.group_size, others)
                 units = int(rows.sum())  # the data tokens of every level
             else:
-                rows = rows.reshape(tally.shape[0], -1, self.bins).sum(axis=1)
-            count += int(tally.sum()) + int(neg.sum()) + units
+                # Summed in place, in log2(c) halvings of the c children:
+                # one new rows array per level grew deep-range's heap
+                # past glibc's trim threshold, so each trial re-faulted
+                # about 450 pages.
+                kids = rows.reshape(g, -1, self.bins)
+                c = kids.shape[1]
+                while c > 1:
+                    h = c // 2
+                    kids[:, :h] += kids[:, c - h : c]
+                    c -= h
+                rows = kids[:, 0]
+            # The level's noise tokens: its tally and negative rows are
+            # contiguous in the block.
+            count += int(block[end - g : end + g].sum()) + units
             tally -= neg
             tally += rows
             tallies.append(tally)

@@ -211,18 +211,24 @@ def within_range(q: Query, n: int, rows: np.ndarray, t: int) -> np.ndarray:
     scalar within [-t, n * max_input + t], and at every level of a tally,
     min v >= -t, sum max(v - t, 0) <= n and sum max(v + t, 0) >= n. Once
     min v >= -t, the last sum is sum v + width * t. It sorts nothing and
-    takes no quotient.
+    takes no quotient. The tree levels tile the bins in order, so each
+    of the two sums is one ``np.add.reduceat`` over every level at once,
+    compared with its per-level bound.
     """
     _check_rows(q, rows)
     if q.scalar:
         v = rows[:, 0]
         return (v >= -t) & (v <= n * q.max_input + t)
+    levels = q.tree_levels
+    offsets = [offset for offset, _, _ in levels]
+    # n - width * t, exact: a bound below every int64 sum holds for all.
+    floor = np.iinfo(np.int64).min
+    low = np.array([max(n - width * t, floor) for _, width, _ in levels])
     ok = rows.min(axis=1) >= -t
     over = rows - t
     np.maximum(over, 0, out=over)
-    for offset, width, _ in q.tree_levels:
-        ok &= over[:, offset : offset + width].sum(axis=1) <= n
-        ok &= rows[:, offset : offset + width].sum(axis=1) >= n - width * t
+    ok &= (np.add.reduceat(over, offsets, axis=1) <= n).all(axis=1)
+    ok &= (np.add.reduceat(rows, offsets, axis=1) >= low).all(axis=1)
     return ok
 
 

@@ -270,11 +270,15 @@ def test_detect_matches_recursive_oracle(args):
         recover(plan, levels, top.r, g, flagged)
         for g in range(1, top.num_groups + 1)
     )
+    before = [level.copy() for level in levels]
     out, report = detect(plan, levels)
     if plan.query.scalar:
         want = int(want[0])
     np.testing.assert_array_equal(out, want)
     assert sorted(report.flagged) == sorted(flagged)
+    # detect only reads the estimates: in run_trial they are the tallies.
+    for level, was in zip(levels, before):
+        np.testing.assert_array_equal(level, was)
 
 
 class TestGroupOf:
@@ -346,7 +350,23 @@ def test_noiseless_tallies_are_honest_answers(variant, query, n, seed):
     plan = make_plan(
         variant, make_base(query, n), n, INF, 0.01, 0.1, lam=4, k_hat=1
     )
-    rng = np.random.default_rng(seed)
+    assert_tallies_are_honest_answers(plan, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("n", [9, 25, 36])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_noiseless_tallies_sum_any_number_of_children(n, seed):
+    # bsdp's groups have sqrt(n) children: 3 and 5 are odd, and 6 halves
+    # to an odd count, so the in-place roll-up of data rows folds a
+    # middle child.
+    query = Query(QueryKind.RANGE_TREE, 7)
+    plan = make_plan(Variant.BSDP, make_base(query, n), n, INF, 0.01, 0.1)
+    assert_tallies_are_honest_answers(plan, np.random.default_rng(seed))
+
+
+def assert_tallies_are_honest_answers(plan, rng):
+    query, n = plan.query, plan.n
     xs = rng.integers(0, query.max_input + 1, size=n)
     honest = rng.random(n) < rng.random()
     tallies, _ = plan.base.tally_levels(xs, plan.levels, rng, honest)

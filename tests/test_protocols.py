@@ -11,7 +11,7 @@ from scipy import stats
 
 from shuffleguard.defense import Variant, make_plan
 from shuffleguard.errors import ParameterError, ProtocolError
-from shuffleguard.noise import BLOCK, dlap_threshold, noise_base
+from shuffleguard.noise import BLOCK, dlap_threshold, nb_sample, noise_base
 from shuffleguard.protocols import (
     CountProtocol,
     SumProtocol,
@@ -496,9 +496,9 @@ def test_tally_level_is_randomize_level_analyzed(
 
 @pytest.mark.parametrize("m", [1, 16, 512])
 def test_all_honest_token_noise_is_one_fill_per_sign(m):
-    # Every share of an all-honest level is 1: the run search finds one
-    # run over the (groups, bins) draws, one exponential fill per sign,
-    # whose means the Poisson draws then overwrite block by block.
+    # Every share of an all-honest level is 1: the level passes the
+    # scalar share 1, one exponential fill per sign, whose means the
+    # Poisson draws then overwrite block by block.
     class Spy:
         def __init__(self, rng):
             self.rng, self.calls = rng, []
@@ -518,6 +518,107 @@ def test_all_honest_token_noise_is_one_fill_per_sign(m):
     proto._noise(level(proto, 1.0, m), np.ones(2048, bool), spy, pos, neg)
     blocks = -(-pos.size // BLOCK)
     assert spy.calls == (["standard_exponential"] + ["poisson"] * blocks) * 2
+    # So is every level of deep-range's whole tally (hsdp, range U = 15,
+    # n = 2048), the small top levels too: no standard_gamma call.
+    n = 2048
+    plan = make_plan(Variant.HSDP, proto, n, 1.0, 0.01, 0.1)
+    spy.calls = []
+    proto.tally_levels(
+        np.zeros(n, np.int64), plan.levels, spy, np.ones(n, bool)
+    )
+    want = []
+    for lp in plan.levels:
+        blocks = -(-lp.num_groups * proto.bins // BLOCK)
+        want += (["standard_exponential"] + ["poisson"] * blocks) * 2
+    assert spy.calls == want
+
+
+@st.composite
+def corrupted_groups(draw, m):
+    """An honest mask over a few groups of m users: each group wholly
+    honest, wholly corrupted, or partly corrupted, any of them in turn."""
+    kinds = draw(st.lists(
+        st.sampled_from(["honest", "corrupted", "partial"]),
+        min_size=1, max_size=4 if m == 512 else 8,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = []
+    for kind in kinds:
+        group = np.full(m, kind == "honest")
+        if kind == "partial" and m > 1:
+            # At least one corrupted and, from m = 2, one honest user.
+            d = int(rng.integers(1, m))
+            group[rng.choice(m, size=m - d, replace=False)] = True
+        groups.append(group)
+    return np.concatenate(groups)
+
+
+@pytest.mark.parametrize(
+    "proto",
+    [count_proto(), hist_proto(), range_proto(u=15)],
+    ids=["count", "hist", "range"],
+)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 512])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_token_shares_are_the_honest_mean(proto, m, data, seed):
+    # The shares computed from the corrupted users draw exactly as the
+    # mean of each group's honest mask did: the same draws and the same
+    # generator state after.
+    honest = data.draw(corrupted_groups(m))
+    lp = level(proto, 1.0, m)
+    got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+    shape = (2, honest.size // m, proto.bins)
+    pos, neg = np.empty(shape, np.int64)
+    proto._noise(lp, honest, got_rng, pos, neg)
+    share = honest.reshape(-1, m).mean(axis=1)
+    want = np.empty(shape, np.int64)
+    nb_sample(share, lp.p, want_rng, out=want[0])
+    nb_sample(share, lp.p, want_rng, out=want[1])
+    np.testing.assert_array_equal(np.stack([pos, neg]), want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 512])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_sum_tally_is_its_draws_under_the_honest_counts(m, data, seed):
+    # Each level's rows, with its honest counts computed from the
+    # corrupted users, are its users' totals summed under the group
+    # counts of the honest mask, for a level of groups of m and the
+    # one-group level above it.
+    honest = data.draw(corrupted_groups(m))
+    n = honest.size
+    proto = sum_proto(u=7, n=n)
+    q = proto.modulus
+    levels = [level(proto, 1.0, m), level(proto, 1.0, n)]
+    xs = np.random.default_rng(seed).integers(0, 8, size=n)
+    got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+    tallies, msgs = proto.tally_levels(xs, levels, got_rng, honest)
+    xh = xs[honest]
+    for lp, tally in zip(levels, tallies):
+        pos, neg = np.empty((2, xh.size), np.int64)
+        nb_sample(1.0 / lp.group_size, lp.p, want_rng, out=pos)
+        nb_sample(1.0 / lp.group_size, lp.p, want_rng, out=neg)
+        totals = (pos - neg + xh) % q
+        want_rng.integers(0, q, size=xh.size * proto.shares)
+        hcount = honest.reshape(-1, lp.group_size).sum(axis=1)
+        sums = [int(t.sum()) for t in np.split(totals, np.cumsum(hcount)[:-1])]
+        assert tally[:, 0].tolist() == sums
+    assert msgs == xh.size * proto.shares * len(levels)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("proto", [count_proto(), sum_proto()],
+                         ids=["count", "sum"])
+def test_levels_refuse_groups_that_do_not_split_the_users(proto):
+    xs = np.zeros(6, np.int64)
+    lp = level(proto, 1.0, 4)
+    for honest in (np.ones(6, bool), np.arange(6) != 2):
+        with pytest.raises(ParameterError, match="6 users do not split"):
+            proto.tally_levels(xs, [lp], np.random.default_rng(0), honest)
+        with pytest.raises(ParameterError, match="6 users do not split"):
+            proto.randomize_level(xs, lp, np.random.default_rng(0), honest)
 
 
 def test_sum_tally_exact_at_largest_modulus():

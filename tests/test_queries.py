@@ -297,3 +297,14 @@ def test_within_range_is_dis_to_range_within_t(q, n, t, data):
 def test_within_range_checks_the_shape():
     with pytest.raises(ShapeError):
         within_range(hist(2), 2, np.zeros((4, 2), dtype=np.int64), 1)
+
+
+def test_within_range_at_a_threshold_past_int64_bounds():
+    # n - width * t is below every int64 sum once width * t passes 2^63:
+    # the level bound holds, as the exact integer test says.
+    q = tree(15)
+    rows = np.zeros((2, q.num_bins), dtype=np.int64)
+    rows[1, 0] = -(2**62) - 1
+    t = 2**62
+    assert within_range(q, 4, rows, t).tolist() == [True, False]
+    assert (dis_to_range(q, 4, rows) <= t).tolist() == [True, False]
